@@ -5,8 +5,10 @@ and a partition point ρ on the vertical one.  This package computes the
 lines of critical parameter pairs (chains), their Farey decomposition
 into curves carrying symbolic words, the pencils of chains through a
 rational critical point, and the triple points where dominant lines of
-neighbouring critical points meet — everything over exact fractions,
-with brute-force cross-checks wired into the constructions themselves.
+neighbouring critical points meet — everything over exact fractions.
+The constructions use closed forms; their brute-force oracles (orbit
+scans such as `scan_witness`, direct coding, determinant geometry) are
+run against them by `critcurves verify` and the tests.
 """
 
 from .chains import (
@@ -45,6 +47,7 @@ from .orbit import (
     format_word,
     is_critical,
     parse_word,
+    scan_witness,
     switch_first,
     word_sign,
 )
@@ -155,6 +158,7 @@ __all__ = [
     "render_triples",
     "residue_cover",
     "run_suite",
+    "scan_witness",
     "segments_csv",
     "standard_continued_fraction",
     "switch_first",

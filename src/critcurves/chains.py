@@ -235,7 +235,8 @@ class FareyPointTests:
 def farey_point_tests(chain: Chain, zeta: CriticalPoint) -> FareyPointTests:
     """The three equivalent characterizations of a Farey point of a chain.
 
-    (i)   membership in the decomposition's Farey points;
+    (i)   membership in the decomposition's Farey points, i.e. θ ∈ F_{|i|}
+          (q ≤ |i|; ζ is already known to lie in the chain's θ-range);
     (ii)  the critical word in the chain's sign is shorter than |i|;
     (iii) a strictly smaller same-sign chain through ζ exists for which
           ζ is not a Farey point — witness (i′, j′) with c = ⌊|i|/q⌋,
@@ -248,12 +249,7 @@ def farey_point_tests(chain: Chain, zeta: CriticalPoint) -> FareyPointTests:
         raise DomainError(f"({zeta.theta}, {zeta.rho}) does not lie on {chain}")
     theta, rho = zeta.theta, zeta.rho
 
-    if chain.i == 0:
-        is_farey = False
-    else:
-        is_farey = any(
-            fp.theta == theta for fp in decompose(chain).farey_points
-        )
+    is_farey = theta.denominator <= chain.order
 
     if rho == 0 or rho == 1:
         word_len = 0  # empty centre: the critical word is ε in both signs

@@ -13,7 +13,7 @@ import json
 import sys
 
 from .chains import chain_new, decompose
-from .errors import DomainError
+from .errors import DomainError, ParameterError
 from .exact import format_rational, parse_rational
 from .net import net
 from .orbit import code_orbit, critical_point, format_word
@@ -191,6 +191,8 @@ def _cmd_point(args) -> int:
 
 def _cmd_pencils(args) -> int:
     zeta = _point_args(args)
+    if args.depth < 0:
+        raise ParameterError(f"pencil depth must be non-negative, got {args.depth}")
     quads = available_quadrants(zeta)
     table: dict[str, list] = {}
     for sigma in quads:
@@ -304,8 +306,11 @@ def _cmd_net(args) -> int:
 
 
 def _write_file(path: str, content: str) -> int:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(content)
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(content)
+    except OSError as exc:
+        raise ParameterError(f"cannot write {path}: {exc.strerror or exc}") from exc
     return len(content.encode("utf-8"))
 
 

@@ -6,12 +6,15 @@ any computation (rendering converts to float only at pixel projection).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ParameterError
 
 Rational = Fraction
+
+_EXACT_FRACTION = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
 def rational(numerator: int, denominator: int = 1) -> Rational:
@@ -24,19 +27,18 @@ def rational(numerator: int, denominator: int = 1) -> Rational:
 def parse_rational(text: str) -> Rational:
     """Parse 'p/q' or a plain integer string into a Rational.
 
-    Floating-point syntax is rejected: the whole pipeline is exact and a
-    decimal literal would silently lie about the user's intent.
+    Only ASCII `[+-]?digits(/digits)?` is accepted, after stripping
+    surrounding whitespace.  Floating-point syntax is rejected: the whole
+    pipeline is exact and a decimal literal would silently lie about the
+    user's intent; so are the digit separators and non-ASCII digits that
+    `int()` would let through.
     """
     text = text.strip()
-    if "." in text or "e" in text.lower() or any(c.isspace() for c in text):
+    match = _EXACT_FRACTION.fullmatch(text)
+    if match is None:
         raise ParameterError(f"not an exact fraction: {text!r}")
-    try:
-        if "/" in text:
-            num, den = text.split("/")
-            return rational(int(num), int(den))
-        return Fraction(int(text))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParameterError(f"not an exact fraction: {text!r}") from exc
+    num, den = match.groups()
+    return rational(int(num), int(den or 1))
 
 
 def format_rational(x: Rational) -> str:

@@ -1,4 +1,4 @@
-"""Direct simulation of the circle rotation x -> {x + theta}.
+"""Circle-rotation codings and the critical-point witnesses.
 
 The unit circle is split at rho into I_a = [0, rho) and I_b = [rho, 1);
 coding an orbit over {a, b} is the ground truth that every closed-form
@@ -6,6 +6,13 @@ result elsewhere in the package is tested against.  A point (theta, rho)
 is *critical* when some iterate of one partition endpoint hits the
 other, i.e. i*theta = j + rho has an integer solution (i, j).  The
 shortest such orbit segment (the centre) codes to the critical word.
+
+For theta = p/q and rho = r/s the witness has a closed form: the point
+is critical iff s | q, and the minimal same-sign size is
+(sign*r*(q/s)*p^-1) mod q, or q when that residue is 0.  `is_critical`
+and `brute_force_critical_word` use it; `scan_witness` finds the same
+witness by walking the orbit and is the oracle that `verify` and the
+tests compare them against.
 """
 
 from __future__ import annotations
@@ -15,10 +22,12 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import ConsistencyError, CriticalityError, ParameterError
-from .exact import Rational, fractional_part
+from .exact import Rational
 
 # Words are plain strings over {a, b}; "" is the empty word.
 Word = str
+
+_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -119,12 +128,31 @@ def code_orbit(theta: Rational, rho: Rational, x0: Rational, length: int) -> Wor
     return "".join(symbols)
 
 
+def _closed_form_witness(theta: Rational, rho: Rational, sign: int) -> tuple[int, int] | None:
+    """Minimal-|i| solution (i, j), |i| >= 1 with sign(i) = sign, of
+    i*theta = j + rho from the modular inverse of p; None when s does
+    not divide q."""
+    p, q = theta.numerator, theta.denominator
+    r, s = rho.numerator, rho.denominator
+    if q % s:
+        return None
+    u = q // s
+    size = (sign * r * u * pow(p, -1, q)) % q if q > 1 else 0
+    i = sign * (size or q)
+    j, rem = divmod(i * p - r * u, q)
+    if rem:
+        raise ConsistencyError(
+            f"closed-form witness i = {i} at ({theta}, {rho}) leaves "
+            f"j = ({i}*{p} - {r * u})/{q} fractional"
+        )
+    return i, j
+
+
 def is_critical(theta: Rational, rho: Rational) -> tuple[bool, tuple[int, int] | None]:
     """Decide i*theta = j + rho and hand back the witness (i, j).
 
     rho = 0 and rho = 1 carry the trivial solutions (0, 0) and (0, -1);
-    otherwise the witness is the minimal i >= 1, found by walking the
-    orbit of 0 (which visits every multiple of 1/q within q steps).
+    otherwise the witness is the minimal i >= 1, from the closed form.
     """
     if not 0 <= theta <= 1 or not 0 <= rho <= 1:
         raise ParameterError("theta and rho must lie in [0, 1]")
@@ -132,18 +160,35 @@ def is_critical(theta: Rational, rho: Rational) -> tuple[bool, tuple[int, int] |
         return True, (0, 0)
     if rho == 1:
         return True, (0, -1)
+    witness = _closed_form_witness(theta, rho, 1)
+    return witness is not None, witness
+
+
+def scan_witness(theta: Rational, rho: Rational, sign: int) -> tuple[int, int] | None:
+    """Oracle for the closed form: the solution (i, j) of
+    i*theta = j + rho with |i| >= 1 minimal among those of the given
+    sign, or None, found by walking the orbit of 0 forwards (sign +1) or
+    backwards (sign -1) for up to q steps, until it lands on rho.
+
+    The walk runs over integers scaled by the common denominator, like
+    `code_orbit`, and assumes nothing about which rho can be hit.
+    """
+    if sign not in (1, -1):
+        raise ParameterError(f"sign must be +1 or -1, got {sign!r}")
+    if not 0 <= theta <= 1 or not 0 <= rho <= 1:
+        raise ParameterError("theta and rho must lie in [0, 1]")
     q = theta.denominator
-    if q % rho.denominator:
-        return False, None
-    x = Fraction(0)
-    for i in range(1, q + 1):
-        x = fractional_part(x + theta)
-        if x == rho:
-            j = i * theta - rho
-            return True, (i, int(j))
-    raise ConsistencyError(
-        f"divisibility says ({theta}, {rho}) is critical but the orbit scan missed it"
-    )
+    den = lcm(q, rho.denominator)
+    step = theta.numerator * (den // q)
+    cut = rho.numerator * (den // rho.denominator)
+    target = cut % den
+    x = 0
+    for size in range(1, q + 1):
+        x = (x + sign * step) % den
+        if x == target:
+            i = sign * size
+            return i, (i * step - cut) // den
+    return None
 
 
 def brute_force_critical_word(zeta: CriticalPoint, sign: int) -> tuple[Word, int, int]:
@@ -154,8 +199,8 @@ def brute_force_critical_word(zeta: CriticalPoint, sign: int) -> tuple[Word, int
     negative words the orbit of rho.  On the boundary rows the sign
     convention forces the trivial solution into one slot: at rho = 0 the
     positive answer is (ε, 0, 0) and at rho = 1 the negative answer is
-    (ε, 0, -1); the opposite slots scan as usual and come out as b^q and
-    a^q.
+    (ε, 0, -1); the opposite slots come out as b^q and a^q.  The size
+    comes from the closed form; only the centre is coded.
     """
     if sign not in (1, -1):
         raise ParameterError(f"sign must be +1 or -1, got {sign!r}")
@@ -167,13 +212,6 @@ def brute_force_critical_word(zeta: CriticalPoint, sign: int) -> tuple[Word, int
         return "", 0, 0
     if rho == 1 and sign < 0:
         return "", 0, -1
-    q = theta.denominator
-    for size in range(1, q + 1):
-        i = sign * size
-        j = i * theta - rho
-        if j.denominator == 1:
-            start = Fraction(0) if sign > 0 else rho
-            return code_orbit(theta, rho, start, size), i, int(j)
-    raise ConsistencyError(
-        f"no solution with sign {sign:+d} within period q = {q} at ({theta}, {rho})"
-    )
+    i, j = _closed_form_witness(theta, rho, sign)
+    start = _ZERO if sign > 0 else rho
+    return code_orbit(theta, rho, start, abs(i)), i, j

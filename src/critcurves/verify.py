@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -25,7 +26,13 @@ from .exact import (
     standard_continued_fraction,
 )
 from .net import net
-from .orbit import brute_force_critical_word, code_orbit, critical_point, is_critical
+from .orbit import (
+    brute_force_critical_word,
+    code_orbit,
+    critical_point,
+    is_critical,
+    scan_witness,
+)
 from .points import (
     all_chain_params,
     available_quadrants,
@@ -92,6 +99,16 @@ def _word_start(sign: int, rho: Fraction) -> Fraction:
     return Fraction(0) if sign > 0 else rho
 
 
+def _oracle_witness(theta: Fraction, rho: Fraction, sign: int):
+    """Minimal same-sign witness (i, j) from the orbit scan, with the
+    trivial boundary slots: (0, 0) at ρ = 0 for +, (0, −1) at ρ = 1 for −."""
+    if rho == 0 and sign > 0:
+        return 0, 0
+    if rho == 1 and sign < 0:
+        return 0, -1
+    return scan_witness(theta, rho, sign)
+
+
 # ---------------------------------------------------------------------------
 # exact
 
@@ -151,22 +168,30 @@ def check_coding_periodicity(max_q: int) -> str:
 
 
 def check_brute_word_structure(max_q: int) -> str:
+    rhos = [Fraction(p, q) for p, q in _theta_values(max_q, ends=True)]
     count = 0
     for p, q in _theta_values(max_q, ends=True):
         theta = Fraction(p, q)
+        # the closed-form criticality test against the orbit scan, at
+        # every rho with denominator <= max_q, critical or not
+        for rho in rhos:
+            ok, witness = is_critical(theta, rho)
+            scanned = scan_witness(theta, rho, 1)
+            if 0 < rho < 1:
+                assert ok == (scanned is not None), f"({theta}, {rho})"
+                assert witness == scanned, f"({theta}, {rho}): {witness} vs scan {scanned}"
+            else:
+                assert ok and scanned is not None
         for rho in _valid_rhos(q):
             zeta = critical_point(theta, rho)
-            ok, _ = is_critical(theta, rho)
-            assert ok
             for sign in (1, -1):
                 word, i, j = brute_force_critical_word(zeta, sign)
                 assert i * theta - j == rho
                 assert len(word) == abs(i)
                 if word:
                     assert word == code_orbit(theta, rho, _word_start(sign, rho), abs(i))
-                # nothing shorter of the same sign connects the boundary points
-                for smaller in range(1, abs(i)):
-                    assert (sign * smaller * theta - rho).denominator != 1
+                # minimality: the orbit scan finds nothing shorter of the same sign
+                assert (i, j) == _oracle_witness(theta, rho, sign), f"{zeta} sign {sign:+d}"
                 count += 1
     return f"{count} (point, sign) pairs, minimality confirmed"
 
@@ -205,9 +230,10 @@ def check_decomposition_oracle(max_q: int) -> str:
                     expected = (
                         ""
                         if rho in (0, 1)
-                        else brute_force_critical_word(
-                            critical_point(fp.theta, rho), chain.sign
-                        )[0]
+                        else code_orbit(
+                            fp.theta, rho, _word_start(chain.sign, rho),
+                            abs(scan_witness(fp.theta, rho, chain.sign)[0]),
+                        )
                     )
                     assert fp.critical_word == expected
                 # endpoint words and the single-flip law
@@ -276,9 +302,9 @@ def check_dominant_minimality(max_q: int) -> str:
             zeta = critical_point(theta, rho)
             plus, minus = dominant_params(zeta)
             for sign, slot in ((1, plus), (-1, minus)):
-                word, i, j = brute_force_critical_word(zeta, sign)
                 if slot is not None:
-                    assert slot == (i, j), f"{zeta}: {slot} vs brute {(i, j)}"
+                    brute = _oracle_witness(theta, rho, sign)
+                    assert slot == brute, f"{zeta}: {slot} vs brute {brute}"
                     count += 1
             if 0 < rho < 1:
                 ctx = point_context(zeta)
@@ -494,11 +520,20 @@ def _run_check(item) -> CheckResult:
         return CheckResult(group, name, False, f"{type(exc).__name__}: {exc}")
 
 
+def worker_count(jobs: int, checks: int) -> int:
+    """Pool size for `jobs` requested workers over `checks` checks:
+    never more than the CPUs or the checks; 1 means run serially."""
+    if jobs < 1:
+        raise ParameterError(f"--jobs must be at least 1, got {jobs}")
+    return min(jobs, os.cpu_count() or 1, checks)
+
+
 def run_suite(suite: str, max_q: int = 12, jobs: int = 1) -> list[CheckResult]:
     if max_q < 2:
         raise ParameterError(f"--max-q must be at least 2, got {max_q}")
     items = [(name, func, group, max_q) for name, func, group in _checks_for(suite)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = worker_count(jobs, len(items))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_run_check, items))
     return [_run_check(item) for item in items]

@@ -34,6 +34,7 @@ from critcurves import (
     pencil_word,
     point_context,
     residue_cover,
+    scan_witness,
     switch_first,
     triple_point_farey_status,
     triple_points,
@@ -70,6 +71,21 @@ def _interior_points(max_q):
 
 def _mediant(a, b):
     return F(a.numerator + b.numerator, a.denominator + b.denominator)
+
+
+def _reference_word(zeta, sign):
+    """`brute_force_critical_word`, asserted against the orbit scan: the
+    same witness (i, j), and the word codes |i| steps from 0 (sign +1)
+    or ρ (sign −1).  The boundary rows keep their trivial slots."""
+    theta, rho = zeta.theta, zeta.rho
+    result = brute_force_critical_word(zeta, sign)
+    if (rho, sign) in ((0, 1), (1, -1)):
+        assert result == ("", 0, -int(rho))
+    else:
+        i, j = scan_witness(theta, rho, sign)
+        start = F(0) if sign > 0 else rho
+        assert result == (code_orbit(theta, rho, start, abs(i)), i, j)
+    return result
 
 
 def _all_chains(max_order):
@@ -171,8 +187,8 @@ def test_criterion_05_pencil_structure():
         theta, rho = zeta.theta, zeta.rho
         q = theta.denominator
 
-        w_plus, ip, jp = brute_force_critical_word(zeta, 1)
-        w_minus, im, jm = brute_force_critical_word(zeta, -1)
+        w_plus, ip, jp = _reference_word(zeta, 1)
+        w_minus, im, jm = _reference_word(zeta, -1)
         assert dominant_params(zeta) == ((ip, jp), (im, jm))
 
         up, down = neighbours(zeta)
@@ -301,8 +317,8 @@ def test_criterion_07_pencil_words():
         q = theta.denominator
         for k in range(q + 1):
             zeta = critical_point(theta, F(k, q))
-            u_plus, _, _ = brute_force_critical_word(zeta, 1)
-            u_minus, _, _ = brute_force_critical_word(zeta, -1)
+            u_plus, _, _ = _reference_word(zeta, 1)
+            u_minus, _, _ = _reference_word(zeta, -1)
             assert len(u_plus) + len(u_minus) == q
             v_plus = switch_first(u_plus) if u_plus else ""
             v_minus = switch_first(u_minus) if u_minus else ""

@@ -1,9 +1,10 @@
 import json
+import os
 import time
 
 import pytest
 
-from critcurves import cli
+from critcurves import ParameterError, cli
 
 GOLDEN_DECOMPOSE_7_5 = """\
 L(7,5): rho = 7*theta - (5) for theta in [5/7, 6/7]
@@ -183,9 +184,41 @@ def test_verify_reports_failures(capsys, monkeypatch):
         ("word", "3/5", "7/5"),          # rho outside the square
         ("frobnicate",),                 # unknown command
         ("decompose", "7", "5", "--bogus"),
+        ("word", "1_0/30", "1/2"),       # digit separator
+        ("word", "３/４", "1/2"),         # full-width digits
+        ("pencils", "3/5", "2/5", "--depth", "-1"),
+        ("verify", "--suite", "exact", "--jobs", "0"),
     ],
 )
 def test_error_exits(capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == 1
     assert err.strip()
+
+
+def test_render_pencils_rejects_negative_depth(tmp_path, capsys):
+    out = tmp_path / "pencils.svg"
+    code, _, err = run(capsys, "render", "pencils", "3/5", "2/5",
+                       "--depth", "-1", "--out", str(out))
+    assert code == 1
+    assert err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_render_into_missing_directory(tmp_path, capsys):
+    target = tmp_path / "missing" / "net.svg"
+    code, out, err = run(capsys, "render", "net", "3", "--out", str(target))
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1 and err.startswith(f"error: cannot write {target}")
+
+
+def test_verify_worker_count():
+    from critcurves.verify import worker_count
+
+    cpus = os.cpu_count() or 1
+    assert worker_count(1, 14) == 1
+    assert worker_count(10**6, 14) == min(cpus, 14)
+    assert worker_count(10**6, 3) == min(cpus, 3)
+    for jobs in (0, -1):
+        with pytest.raises(ParameterError):
+            worker_count(jobs, 14)

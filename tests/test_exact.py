@@ -35,7 +35,10 @@ def test_parse_rational(text, value):
     assert parse_rational(text) == value
 
 
-@pytest.mark.parametrize("text", ["0.5", "1e3", "3 / 4", "", "a/b", "1/0"])
+@pytest.mark.parametrize(
+    "text",
+    ["0.5", "1e3", "3 / 4", "", "a/b", "1/0", "1_0/30", "３/４", "3/-4", "1/2/3"],
+)
 def test_parse_rational_rejects_inexact(text):
     with pytest.raises(ParameterError):
         parse_rational(text)

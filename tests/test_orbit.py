@@ -4,14 +4,18 @@ import pytest
 from hypothesis import given, strategies as st
 
 from critcurves import (
+    ConsistencyError,
     CriticalityError,
     ParameterError,
     brute_force_critical_word,
     code_orbit,
     critical_point,
+    farey_sequence,
     format_word,
     is_critical,
+    orbit,
     parse_word,
+    scan_witness,
     switch_first,
     word_sign,
 )
@@ -145,3 +149,56 @@ def test_brute_force_word_is_minimal_and_coded(pair, sign):
         assert word == code_orbit(theta, rho, start, abs(i))
     for smaller in range(1, abs(i)):
         assert (sign * smaller * theta - rho).denominator != 1
+
+
+def test_scan_witness_examples():
+    assert scan_witness(Fraction(3, 4), Fraction(1, 4), 1) == (3, 2)
+    assert scan_witness(Fraction(3, 5), Fraction(2, 5), 1) == (4, 2)
+    assert scan_witness(Fraction(3, 5), Fraction(2, 5), -1) == (-1, -1)
+    # the rows: no trivial solution, the first return of 0 instead
+    assert scan_witness(Fraction(3, 5), Fraction(0), 1) == (5, 3)
+    assert scan_witness(Fraction(3, 5), Fraction(1), -1) == (-5, -4)
+    assert scan_witness(Fraction(3, 4), Fraction(1, 3), 1) is None
+    assert scan_witness(Fraction(0), Fraction(1, 2), -1) is None
+
+
+def test_scan_witness_validates():
+    with pytest.raises(ParameterError):
+        scan_witness(Fraction(1, 2), Fraction(1, 2), 0)
+    with pytest.raises(ParameterError):
+        scan_witness(Fraction(3, 2), Fraction(1, 2), 1)
+
+
+def test_closed_forms_match_orbit_scan():
+    """Every (θ, ρ) with both denominators ≤ 40: `is_critical` against
+    the scan, and at each critical point both signed witnesses of
+    `brute_force_critical_word` against the scan of that sign."""
+    members = farey_sequence(40, Fraction(0), Fraction(1))
+    critical = 0
+    for theta in members:
+        for rho in members:
+            ok, witness = is_critical(theta, rho)
+            scanned = scan_witness(theta, rho, 1)
+            if rho in (0, 1):
+                assert ok and witness == (0, -int(rho)) and scanned is not None
+            else:
+                assert (ok, witness) == (scanned is not None, scanned), (theta, rho)
+            if not ok:
+                continue
+            critical += 1
+            zeta = critical_point(theta, rho)
+            for sign in (1, -1):
+                _, i, j = brute_force_critical_word(zeta, sign)
+                if (rho, sign) in ((0, 1), (1, -1)):
+                    assert i == 0
+                else:
+                    assert (i, j) == scan_witness(theta, rho, sign), (theta, rho, sign)
+    assert (len(members) ** 2, critical) == (241_081, 13_603)
+
+
+def test_closed_form_consistency_check_is_live(monkeypatch):
+    # a wrong inverse gives a size whose j is fractional: that is a bug,
+    # so it must surface as ConsistencyError, not as a wrong witness
+    monkeypatch.setattr(orbit, "pow", lambda *args: 1, raising=False)
+    with pytest.raises(ConsistencyError):
+        is_critical(Fraction(3, 5), Fraction(2, 5))
