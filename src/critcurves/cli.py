@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 
-from .chains import chain_new, decompose
+from .chains import chain_new, curve_count, decompose
 from .errors import DomainError, ParameterError
 from .exact import format_rational, parse_rational
 from .net import net
@@ -98,12 +98,15 @@ def _cmd_word(args) -> int:
 
 def _cmd_chain(args) -> int:
     chain = chain_new(args.i, args.j)
-    dec = decompose(chain)
+    curves = curve_count(chain)
+    # a chain of order >= 1 has one Farey point more than curves; the
+    # horizontal chains have none
+    farey_points = curves + 1 if chain.i else 0
     if args.json:
         doc = _chain_doc(chain)
         doc["order"] = chain.order
-        doc["farey_points"] = len(dec.farey_points)
-        doc["curves"] = len(dec.curves)
+        doc["farey_points"] = farey_points
+        doc["curves"] = curves
         _print_doc(doc)
     else:
         print(
@@ -111,8 +114,7 @@ def _cmd_chain(args) -> int:
             f"theta in [{format_rational(chain.theta_minus)}, "
             f"{format_rational(chain.theta_plus)}]"
         )
-        print(f"order {chain.order}, {len(dec.farey_points)} Farey points, "
-              f"{len(dec.curves)} curves")
+        print(f"order {chain.order}, {farey_points} Farey points, {curves} curves")
     return 0
 
 

@@ -10,9 +10,10 @@ shortest such orbit segment (the centre) codes to the critical word.
 For theta = p/q and rho = r/s the witness has a closed form: the point
 is critical iff s | q, and the minimal same-sign size is
 (sign*r*(q/s)*p^-1) mod q, or q when that residue is 0.  `is_critical`
-and `brute_force_critical_word` use it; `scan_witness` finds the same
-witness by walking the orbit and is the oracle that `verify` and the
-tests compare them against.
+and `signed_witness` use it, and `brute_force_critical_word` codes the
+centre of the signed witness; `scan_witness` finds the same witness by
+walking the orbit and is the oracle that `verify` and the tests compare
+them against.
 """
 
 from __future__ import annotations
@@ -191,27 +192,36 @@ def scan_witness(theta: Rational, rho: Rational, sign: int) -> tuple[int, int] |
     return None
 
 
-def brute_force_critical_word(zeta: CriticalPoint, sign: int) -> tuple[Word, int, int]:
-    """Minimal-|i| solution of i*theta = j + rho with the requested sign,
-    together with the coding of its centre.
+def signed_witness(zeta: CriticalPoint, sign: int) -> tuple[int, int]:
+    """Minimal-|i| solution (i, j) of i*theta = j + rho with the given
+    sign, from the closed form.
 
-    Positive words code the orbit of 0 (i of the solution is positive),
-    negative words the orbit of rho.  On the boundary rows the sign
-    convention forces the trivial solution into one slot: at rho = 0 the
-    positive answer is (ε, 0, 0) and at rho = 1 the negative answer is
-    (ε, 0, -1); the opposite slots come out as b^q and a^q.  The size
-    comes from the closed form; only the centre is coded.
+    On the rows the sign convention puts the trivial solution into one
+    slot: (0, 0) for + at rho = 0 and (0, -1) for - at rho = 1; the
+    opposite slots are the full periods (-q, -p) and (q, p - 1).  Every
+    chain through zeta is this witness plus a multiple of (q, p).
     """
     if sign not in (1, -1):
         raise ParameterError(f"sign must be +1 or -1, got {sign!r}")
     theta, rho = zeta.theta, zeta.rho
-    ok, _ = is_critical(theta, rho)
-    if not ok:
-        raise CriticalityError(f"({theta}, {rho}) is not a critical point")
+    if not 0 <= theta <= 1 or not 0 <= rho <= 1:
+        raise ParameterError("theta and rho must lie in [0, 1]")
     if rho == 0 and sign > 0:
-        return "", 0, 0
+        return 0, 0
     if rho == 1 and sign < 0:
-        return "", 0, -1
-    i, j = _closed_form_witness(theta, rho, sign)
-    start = _ZERO if sign > 0 else rho
-    return code_orbit(theta, rho, start, abs(i)), i, j
+        return 0, -1
+    witness = _closed_form_witness(theta, rho, sign)
+    if witness is None:
+        raise CriticalityError(f"({theta}, {rho}) is not a critical point")
+    return witness
+
+
+def brute_force_critical_word(zeta: CriticalPoint, sign: int) -> tuple[Word, int, int]:
+    """The signed witness (i, j) of zeta together with the coding of its
+    centre: positive words code the orbit of 0, negative words the orbit
+    of rho.  The trivial row slots of `signed_witness` code to ε; the
+    opposite slots come out as b^q and a^q.
+    """
+    i, j = signed_witness(zeta, sign)
+    start = _ZERO if sign > 0 else zeta.rho
+    return code_orbit(zeta.theta, zeta.rho, start, abs(i)), i, j

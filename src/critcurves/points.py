@@ -1,15 +1,20 @@
 """Local structure at a rational critical point ζ = (p/q, r/s).
 
-Every chain through ζ has parameters (i_t, j_t) = (ruq′ + tq, rup′ + tp);
-the two *dominant* chains minimize |i| in each sign and carry the pencil
-index ℓ = 0.  Four pencils of curves are concurrent at an interior ζ —
-labelled I (right, positive slopes), II (right... conventionally the
-positive sign refers to I and III, the negative to II and IV — and the
-ℓ-th pencil curve ends at a Farey point ζ^σ(ℓ) on a dominant line of the
-upper neighbour (σ = I, II) or the lower one (σ = III, IV).  On the rows
-ρ = 0, 1 and at the corners some pencils are missing; the special rows
-ρ = 1/q and (q−1)/q send two pencils' endpoints onto the horizontal
-segments instead of a neighbour's dominant curve.
+Two laws give the chains and pencils through ζ:
+
+1. Every chain through ζ is (i₀ + tq, j₀ + tp).  The two *dominant*
+   chains are the minimal signed witnesses `orbit.signed_witness(ζ, ±1)`,
+   and the ℓ-th curve of a pencil is the witness of its sign plus
+   sign·ℓ·(q, p).  Pencils I and III take the positive sign, II and IV
+   the negative one; on the rows ρ = 0, 1 the trivial witnesses (0, 0)
+   and (0, −1) are the dominant chains.
+2. The ℓ-th curve (ℓ ≥ 1) ends at the right (I, IV) or left (II, III)
+   neighbour θ′ of θ in F_{|i|}, at ρ′ = i·θ′ − j: a point on a dominant
+   line of the upper neighbour ζ↑ (I, II) or the lower one ζ↓ (III, IV).
+
+A pencil exists where both of its neighbours do: ζ↑ or ζ↓ in the
+square, and a Farey neighbour of θ on its side.  All four exist inside,
+I and II on ρ = 0, III and IV on ρ = 1, and one at each corner.
 """
 
 from __future__ import annotations
@@ -18,13 +23,14 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .chains import _j_range_ok
 from .errors import ConsistencyError, DomainError, ParameterError
 from .exact import (
     ContinuedFraction,
     Rational,
     _convergents,
     continued_fraction,
-    fractional_part,
+    farey_neighbours,
 )
 from .orbit import (
     CriticalPoint,
@@ -32,6 +38,7 @@ from .orbit import (
     brute_force_critical_word,
     critical_point,
     is_critical,
+    signed_witness,
     switch_first,
 )
 
@@ -42,10 +49,6 @@ def _require_critical(zeta: CriticalPoint) -> None:
     ok, _ = is_critical(zeta.theta, zeta.rho)
     if not ok:
         raise DomainError(f"({zeta.theta}, {zeta.rho}) is not a critical point")
-
-
-def _is_corner(zeta: CriticalPoint) -> bool:
-    return zeta.theta in (0, 1) and zeta.rho in (0, 1)
 
 
 @dataclass(frozen=True)
@@ -141,56 +144,30 @@ def all_chain_params(zeta: CriticalPoint, t: int) -> tuple[int, int]:
 def dominant_params(
     zeta: CriticalPoint,
 ) -> tuple[tuple[int, int] | None, tuple[int, int] | None]:
-    """Minimal-|i| chain parameters through ζ, one per sign.
-
-    Interior: i± = ±q·{±τ}, j± = ±p·{±τ} − r/s.  Rows: ρ = 0 carries
-    ((0,0), (−q,−p)) and ρ = 1 carries ((q, p−1), (0,−1)).  At the two
-    left corners the inadmissible member degenerates to None.
+    """Minimal-|i| chain parameters through ζ, one per sign: the two
+    signed witnesses.  A witness that is no admissible chain, which
+    happens only at the left corners (0, 0) and (0, 1), becomes None.
     """
-    _require_critical(zeta)
-    theta, rho = zeta.theta, zeta.rho
-    p, q = theta.numerator, theta.denominator
-    if _is_corner(zeta):
-        if zeta == CriticalPoint(Fraction(0), Fraction(0)):
-            return (0, 0), None
-        if zeta == CriticalPoint(Fraction(1), Fraction(0)):
-            return (0, 0), (-1, -1)
-        if zeta == CriticalPoint(Fraction(0), Fraction(1)):
-            return None, (0, -1)
-        return (1, 0), (0, -1)
-    if rho == 0:
-        return (0, 0), (-q, -p)
-    if rho == 1:
-        return (q, p - 1), (0, -1)
-    ctx = point_context(zeta)
-    frac_plus = fractional_part(ctx.tau)
-    frac_minus = fractional_part(-ctx.tau)
-    i_plus = q * frac_plus
-    j_plus = p * frac_plus - rho
-    i_minus = -q * frac_minus
-    j_minus = -p * frac_minus - rho
-    if i_plus.denominator != 1 or j_plus.denominator != 1:
-        raise ConsistencyError(f"non-integer dominant parameters at {zeta}")
-    return (int(i_plus), int(j_plus)), (int(i_minus), int(j_minus))
+    plus, minus = signed_witness(zeta, 1), signed_witness(zeta, -1)
+    return (
+        plus if _j_range_ok(*plus) else None,
+        minus if _j_range_ok(*minus) else None,
+    )
 
 
 def available_quadrants(zeta: CriticalPoint) -> tuple[str, ...]:
-    """Which pencils exist at ζ: all four inside, two on the rows
-    ρ = 0 (I, II) and ρ = 1 (III, IV), exactly one at each corner."""
+    """Which pencils exist at ζ: σ needs ζ↑ (I, II) or ζ↓ (III, IV) and
+    a Farey neighbour of θ on its right (I, IV) or left (II, III).  All
+    four exist inside, two on the rows ρ = 0 (I, II) and ρ = 1
+    (III, IV), exactly one at each corner."""
     _require_critical(zeta)
-    if _is_corner(zeta):
-        corner = (zeta.theta == 1, zeta.rho == 1)
-        return {
-            (False, False): ("I",),
-            (True, False): ("II",),
-            (False, True): ("IV",),
-            (True, True): ("III",),
-        }[corner]
-    if zeta.rho == 0:
-        return ("I", "II")
-    if zeta.rho == 1:
-        return ("III", "IV")
-    return QUADRANTS
+    theta, rho = zeta.theta, zeta.rho
+    return tuple(
+        sigma
+        for sigma in QUADRANTS
+        if (rho < 1 if sigma in ("I", "II") else rho > 0)
+        and (theta < 1 if sigma in ("I", "IV") else theta > 0)
+    )
 
 
 def _check_pencil_args(zeta: CriticalPoint, sigma: str, ell: int) -> None:
@@ -198,120 +175,40 @@ def _check_pencil_args(zeta: CriticalPoint, sigma: str, ell: int) -> None:
         raise ParameterError(f"unknown pencil quadrant {sigma!r}")
     if ell < 0:
         raise ParameterError("pencil index ell must be non-negative")
-    if sigma not in available_quadrants(zeta):
+    available = available_quadrants(zeta)
+    if sigma not in available:
         raise DomainError(
             f"pencil {sigma} does not exist at ({zeta.theta}, {zeta.rho}); "
-            f"available: {', '.join(available_quadrants(zeta))}"
+            f"available: {', '.join(available)}"
         )
 
 
 def pencil_params(zeta: CriticalPoint, sigma: str, ell: int) -> tuple[int, int]:
-    """Chain parameters of the ℓ-th curve of pencil σ.
-
-    Pencils I and III share the positive chains i⁺(ℓ) = q({τ} + ℓ),
-    II and IV the negative ones i⁻(ℓ) = −q({−τ} + ℓ); ℓ = 0 is the
-    dominant chain.  On the rows the formulas degenerate to
-    i⁺(ℓ) = qℓ (ρ = 0) and i⁺(ℓ) = q(ℓ+1) (ρ = 1), which also covers
-    the corners.
-    """
+    """Chain parameters of the ℓ-th curve of pencil σ: the signed
+    witness of σ's sign (+ for I, III; − for II, IV) plus sign·ℓ·(q, p).
+    ℓ = 0 is the dominant chain."""
     _check_pencil_args(zeta, sigma, ell)
-    theta, rho = zeta.theta, zeta.rho
-    p, q = theta.numerator, theta.denominator
-    if rho == 0:
-        if sigma == "I":
-            return q * ell, p * ell
-        return -q * (ell + 1), -p * (ell + 1)
-    if rho == 1:
-        if sigma == "III":
-            return q * (ell + 1), p * (ell + 1) - 1
-        return -q * ell, -p * ell - 1
-    ctx = point_context(zeta)
-    if sigma in ("I", "III"):
-        scale = fractional_part(ctx.tau) + ell
-        i_ell = q * scale
-        j_ell = p * scale - rho
-    else:
-        scale = fractional_part(-ctx.tau) + ell
-        i_ell = -q * scale
-        j_ell = -p * scale - rho
-    if i_ell.denominator != 1 or j_ell.denominator != 1:
-        raise ConsistencyError(f"non-integer pencil parameters at {zeta}")
-    return int(i_ell), int(j_ell)
+    sign = 1 if sigma in ("I", "III") else -1
+    i, j = signed_witness(zeta, sign)
+    p, q = zeta.theta.numerator, zeta.theta.denominator
+    return i + sign * ell * q, j + sign * ell * p
 
 
 def pencil_endpoint(zeta: CriticalPoint, sigma: str, ell: int) -> CriticalPoint:
     """The Farey point ζ^σ(ℓ) of the ℓ-th pencil curve distinct from ζ.
 
-    Generic endpoints lie on the σ-assigned dominant line of the upper
-    (I, II) or lower (III, IV) neighbour:
-
-        σ = I:   k = ℓ + t⁺ + ⌊τ⁺⌋,  (p^σ, q^σ) = (−p′ + pk, −q′ + qk)
-        σ = II:  k = ℓ − t⁻ + ⌊−τ⁺⌋, (p^σ, q^σ) = ( p′ + pk,  q′ + qk)
-        σ = III: k = ℓ + t⁺ + ⌊τ⁻⌋,  (p^σ, q^σ) = ( p′ + pk,  q′ + qk)
-        σ = IV:  k = ℓ − t⁻ + ⌊−τ⁻⌋, (p^σ, q^σ) = (−p′ + pk, −q′ + qk)
-
-    with θ^σ(ℓ) = p^σ/q^σ and ρ from the pencil chain's equation.  On
-    the special rows ρ = 1/q and (q−1)/q (where a τ± is an integer and
-    the table breaks down) the affected pencils intersect the horizontal
-    segments instead: ζ^σ(ℓ) = (j/i, 0) for σ = III, IV at ρ = 1/q and
-    ((j+1)/i, 1) for σ = I, II at ρ = (q−1)/q.  The rows ρ = 0, 1 use
-    their own closed forms, branching on the sign of q′, and the corner
-    endpoints are explicit.
+    With (i, j) the curve's chain parameters, θ^σ(ℓ) is the right
+    (σ = I, IV) or left (σ = II, III) neighbour of θ in F_{|i|}, and
+    ρ^σ(ℓ) = i·θ^σ(ℓ) − j.  The same law covers the interior, the rows,
+    the corners and the special rows ρ = 1/q, (q−1)/q, where the
+    endpoints of III, IV or I, II land on the row ρ = 0 or ρ = 1.
     """
     if ell < 1:
         raise ParameterError("pencil endpoints exist for ell >= 1")
-    i_ell, j_ell = pencil_params(zeta, sigma, ell)
-    theta, rho = zeta.theta, zeta.rho
-    p, q = theta.numerator, theta.denominator
-
-    if _is_corner(zeta):
-        if zeta.theta == 0:
-            end_theta = Fraction(1, ell)
-        else:
-            end_theta = Fraction(ell, ell + 1)
-        end_rho = Fraction(1) if rho == 0 else Fraction(0)
-        return critical_point(end_theta, end_rho)
-
-    if rho == 0 or rho == 1:
-        cf = continued_fraction(theta)
-        sign = -1 if cf.n % 2 == 0 else 1
-        q_prime = sign * cf.q(cf.n - 1)
-        p_prime = sign * cf.p(cf.n - 1)
-        # I and IV walk one family of convergent combinations, II and
-        # III the other; q′ < 0 shifts both by one full convergent step
-        if sigma in ("I", "IV"):
-            if q_prime > 0:
-                num, den = p * ell - p_prime, q * ell - q_prime
-            else:
-                num, den = p * ell - p - p_prime, q * ell - q - q_prime
-        else:
-            if q_prime > 0:
-                num, den = p * ell + p_prime, q * ell + q_prime
-            else:
-                num, den = p * ell + p + p_prime, q * ell + q + q_prime
-        end_theta = Fraction(num, den)
-        return critical_point(end_theta, i_ell * end_theta - j_ell)
-
-    ctx = point_context(zeta)
-    if rho == Fraction(1, q) and sigma in ("III", "IV"):
-        return critical_point(Fraction(j_ell, i_ell), Fraction(0))
-    if rho == Fraction(q - 1, q) and sigma in ("I", "II"):
-        return critical_point(Fraction(j_ell + 1, i_ell), Fraction(1))
-
-    if sigma == "I":
-        k = ell + ctx.t_plus + math.floor(ctx.tau_plus)
-        num, den = -ctx.p_prime + p * k, -ctx.q_prime + q * k
-    elif sigma == "II":
-        k = ell - ctx.t_minus + math.floor(-ctx.tau_plus)
-        num, den = ctx.p_prime + p * k, ctx.q_prime + q * k
-    elif sigma == "III":
-        k = ell + ctx.t_plus + math.floor(ctx.tau_minus)
-        num, den = ctx.p_prime + p * k, ctx.q_prime + q * k
-    else:
-        k = ell - ctx.t_minus + math.floor(-ctx.tau_minus)
-        num, den = -ctx.p_prime + p * k, -ctx.q_prime + q * k
-    end_theta = Fraction(num, den)
-    return critical_point(end_theta, i_ell * end_theta - j_ell)
+    i, j = pencil_params(zeta, sigma, ell)
+    left, right = farey_neighbours(zeta.theta, abs(i))
+    end_theta = right if sigma in ("I", "IV") else left
+    return critical_point(end_theta, i * end_theta - j)
 
 
 @dataclass(frozen=True)
@@ -331,18 +228,13 @@ def pencil_descriptor(zeta: CriticalPoint, sigma: str, ell: int) -> PencilDescri
 
 
 def dominant_words(zeta: CriticalPoint) -> tuple[Word, Word]:
-    """(u⁺, u⁻): critical words of the two dominant curves.
+    """(u⁺, u⁻): critical words of the two dominant curves, the codings
+    of the two signed witnesses.
 
     On ρ = 0 these are (ε, b^q) and on ρ = 1 (a^q, ε) — covering the
     corners via q = 1 — so the pencil word formulas below never need a
     special case.
     """
-    _require_critical(zeta)
-    q = zeta.theta.denominator
-    if zeta.rho == 0:
-        return "", "b" * q
-    if zeta.rho == 1:
-        return "a" * q, ""
     plus, _, _ = brute_force_critical_word(zeta, 1)
     minus, _, _ = brute_force_critical_word(zeta, -1)
     return plus, minus

@@ -25,7 +25,7 @@ from .chains import chain_new, farey_point_tests
 from .errors import ConsistencyError, DomainError
 from .exact import Rational, standard_continued_fraction
 from .orbit import CriticalPoint, critical_point
-from .points import dominant_params, neighbours, point_context
+from .points import PointContext, dominant_params, neighbours, point_context
 
 SIGN_TRIPLES = tuple(itertools.product((1, -1), repeat=3))
 
@@ -49,14 +49,14 @@ def _context_with_neighbours(zeta: CriticalPoint):
     return point_context(zeta), up, down
 
 
+def _mu(ctx: PointContext) -> int:
+    return 2 * math.floor(ctx.tau) - math.floor(ctx.tau_minus) - math.floor(ctx.tau_plus)
+
+
 def mu_of(zeta: CriticalPoint) -> int:
     """μ = 2⌊τ⌋ − ⌊τ⁻⌋ − ⌊τ⁺⌋ (always one of −1, 0, +1)."""
     ctx, _, _ = _context_with_neighbours(zeta)
-    return (
-        2 * math.floor(ctx.tau)
-        - math.floor(ctx.tau_minus)
-        - math.floor(ctx.tau_plus)
-    )
+    return _mu(ctx)
 
 
 @dataclass(frozen=True)
@@ -162,11 +162,7 @@ def triple_points(zeta: CriticalPoint) -> TriplePointReport:
     ctx, _, _ = _context_with_neighbours(zeta)
     q, rho = ctx.q, zeta.rho
     n = ctx.cf.n
-    mu = (
-        2 * math.floor(ctx.tau)
-        - math.floor(ctx.tau_minus)
-        - math.floor(ctx.tau_plus)
-    )
+    mu = _mu(ctx)
     if q == 2:
         kind, specs = "II", ((2, 1), (2, -1))
     elif rho == Fraction(1, q):

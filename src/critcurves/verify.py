@@ -321,6 +321,7 @@ def check_pencil_endpoints(max_q: int) -> str:
         for rho in _valid_rhos(q):
             zeta = critical_point(theta, rho)
             up, down = neighbours(zeta)
+            ctx = point_context(zeta) if 0 < rho < 1 else None
             for sigma in available_quadrants(zeta):
                 target = up if sigma in ("I", "II") else down
                 side = 1 if sigma in ("I", "IV") else 0
@@ -350,9 +351,8 @@ def check_pencil_endpoints(max_q: int) -> str:
                             f"{zeta} {sigma} ℓ={ell}: endpoint off the "
                             "neighbour's dominant lines"
                         )
-                    if prev is not None and 0 < rho < 1:
+                    if prev is not None and ctx is not None:
                         # consecutive endpoints line up along the bold slope
-                        ctx = point_context(zeta)
                         bold = {
                             "I": ctx.q * (ctx.tau_plus - math.floor(ctx.tau_plus)),
                             "II": -ctx.q * (-ctx.tau_plus - math.floor(-ctx.tau_plus)),

@@ -58,6 +58,44 @@ def test_decompose_json_round_trip(capsys):
     assert out == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+def test_chain(capsys):
+    code, out, _ = run(capsys, "chain", "7", "5")
+    assert (code, out) == (0, (
+        "L(7,5): rho = 7*theta - (5) for theta in [5/7, 6/7]\n"
+        "order 7, 5 Farey points, 4 curves\n"
+    ))
+    code, out, _ = run(capsys, "chain", "0", "0")
+    assert (code, out) == (0, (
+        "L(0,0): rho = 0*theta - (0) for theta in [0/1, 1/1]\n"
+        "order 0, 0 Farey points, 1 curves\n"
+    ))
+    code, out, _ = run(capsys, "chain", "7", "5", "--json")
+    assert code == 0
+    assert json.loads(out) == {
+        "i": 7, "j": 5, "theta_minus": "5/7", "theta_plus": "6/7",
+        "order": 7, "farey_points": 5, "curves": 4,
+    }
+    code, out, _ = run(capsys, "chain", "0", "0", "--json")
+    assert code == 0
+    assert json.loads(out) == {
+        "i": 0, "j": 0, "theta_minus": "0/1", "theta_plus": "1/1",
+        "order": 0, "farey_points": 0, "curves": 1,
+    }
+
+
+def test_chain_counts_without_decomposing(capsys):
+    # the words of L(100000, 3) hold over 3·10^9 letters; only counts print
+    start = time.monotonic()
+    code, out, _ = run(capsys, "chain", "100000", "3", "--json")
+    elapsed = time.monotonic() - start
+    assert code == 0
+    assert json.loads(out) == {
+        "i": 100000, "j": 3, "theta_minus": "3/100000", "theta_plus": "1/25000",
+        "order": 100000, "farey_points": 33334, "curves": 33333,
+    }
+    assert elapsed < 30.0
+
+
 def test_point(capsys):
     code, out, _ = run(capsys, "point", "3/5", "2/5")
     assert code == 0

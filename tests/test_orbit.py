@@ -6,16 +6,19 @@ from hypothesis import given, strategies as st
 from critcurves import (
     ConsistencyError,
     CriticalityError,
+    CriticalPoint,
     ParameterError,
     brute_force_critical_word,
     code_orbit,
     critical_point,
+    dominant_params,
     farey_sequence,
     format_word,
     is_critical,
     orbit,
     parse_word,
     scan_witness,
+    signed_witness,
     switch_first,
     word_sign,
 )
@@ -169,10 +172,22 @@ def test_scan_witness_validates():
         scan_witness(Fraction(3, 2), Fraction(1, 2), 1)
 
 
+def test_signed_witness_validates():
+    zeta = critical_point(Fraction(3, 5), Fraction(2, 5))
+    for sign in (0, 2):
+        with pytest.raises(ParameterError):
+            signed_witness(zeta, sign)
+    with pytest.raises(ParameterError):
+        signed_witness(CriticalPoint(Fraction(3, 2), Fraction(1, 2)), 1)
+    with pytest.raises(CriticalityError):
+        signed_witness(CriticalPoint(Fraction(3, 4), Fraction(1, 3)), -1)
+
+
 def test_closed_forms_match_orbit_scan():
     """Every (θ, ρ) with both denominators ≤ 40: `is_critical` against
-    the scan, and at each critical point both signed witnesses of
-    `brute_force_critical_word` against the scan of that sign."""
+    the scan, and at each critical point both `signed_witness` slots,
+    the witnesses of `brute_force_critical_word` and the dominant chains
+    against the scan of that sign or the trivial row slot."""
     members = farey_sequence(40, Fraction(0), Fraction(1))
     critical = 0
     for theta in members:
@@ -187,12 +202,18 @@ def test_closed_forms_match_orbit_scan():
                 continue
             critical += 1
             zeta = critical_point(theta, rho)
-            for sign in (1, -1):
-                _, i, j = brute_force_critical_word(zeta, sign)
+            for sign, dominant in zip((1, -1), dominant_params(zeta)):
+                witness = signed_witness(zeta, sign)
                 if (rho, sign) in ((0, 1), (1, -1)):
-                    assert i == 0
+                    assert witness == (0, -int(rho))
                 else:
-                    assert (i, j) == scan_witness(theta, rho, sign), (theta, rho, sign)
+                    assert witness == scan_witness(theta, rho, sign), (theta, rho, sign)
+                assert brute_force_critical_word(zeta, sign)[1:] == witness
+                # the two left corners: the witness is no admissible chain
+                if (theta, rho, sign) in ((0, 0, -1), (0, 1, 1)):
+                    assert dominant is None
+                else:
+                    assert dominant == witness, (theta, rho, sign)
     assert (len(members) ** 2, critical) == (241_081, 13_603)
 
 
