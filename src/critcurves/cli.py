@@ -67,6 +67,14 @@ def _chain_label(chain) -> str:
     return f"L({chain.i},{chain.j})"
 
 
+def _chain_header(chain) -> str:
+    return (
+        f"{_chain_label(chain)}: rho = {chain.i}*theta - ({chain.j}) for "
+        f"theta in [{format_rational(chain.theta_minus)}, "
+        f"{format_rational(chain.theta_plus)}]"
+    )
+
+
 def _point_str(theta, rho) -> str:
     return f"({format_rational(theta)}, {format_rational(rho)})"
 
@@ -109,45 +117,28 @@ def _cmd_chain(args) -> int:
         doc["curves"] = curves
         _print_doc(doc)
     else:
-        print(
-            f"{_chain_label(chain)}: rho = {chain.i}*theta - ({chain.j}) for "
-            f"theta in [{format_rational(chain.theta_minus)}, "
-            f"{format_rational(chain.theta_plus)}]"
-        )
+        print(_chain_header(chain))
         print(f"order {chain.order}, {farey_points} Farey points, {curves} curves")
     return 0
 
 
 def _cmd_decompose(args) -> int:
     chain = chain_new(args.i, args.j)
-    dec = decompose(chain)
+    items = decomposition_document(decompose(chain))
     if args.json:
-        _print_doc({"chain": _chain_doc(chain), "items": decomposition_document(dec)})
+        _print_doc({"chain": _chain_doc(chain), "items": items})
         return 0
-    print(
-        f"{_chain_label(chain)}: rho = {chain.i}*theta - ({chain.j}) for "
-        f"theta in [{format_rational(chain.theta_minus)}, "
-        f"{format_rational(chain.theta_plus)}]"
-    )
-    for k, curve in enumerate(dec.curves):
-        if dec.farey_points:
-            fp = dec.farey_points[k]
+    print(_chain_header(chain))
+    for item in items:
+        if item["type"] == "farey":
             print(
-                f"farey theta={format_rational(fp.theta)} "
-                f"boundary={format_word(fp.boundary_word)} "
-                f"critical={format_word(fp.critical_word)}"
+                f"farey theta={item['theta']} "
+                f"boundary={format_word(item['word'])} "
+                f"critical={format_word(item['critical_word'])}"
             )
-        print(
-            f"curve ({format_rational(curve.theta_lo)}, "
-            f"{format_rational(curve.theta_hi)}) word={format_word(curve.word)}"
-        )
-    if dec.farey_points:
-        fp = dec.farey_points[-1]
-        print(
-            f"farey theta={format_rational(fp.theta)} "
-            f"boundary={format_word(fp.boundary_word)} "
-            f"critical={format_word(fp.critical_word)}"
-        )
+        else:
+            lo, hi = item["interval"]
+            print(f"curve ({lo}, {hi}) word={format_word(item['word'])}")
     return 0
 
 

@@ -212,30 +212,18 @@ def farey_sequence(n: int, lo: Rational, hi: Rational) -> list[Rational]:
         raise ParameterError("empty interval")
     lo = max(lo, Fraction(0))
     hi = min(hi, Fraction(1))
-    # first member >= lo: scan denominators once to find the minimum
-    first = None
-    for q in range(1, n + 1):
-        p = -((-lo.numerator * q) // lo.denominator)  # ceil(lo * q)
-        cand = Fraction(p, q)
-        if cand >= lo and (first is None or cand < first):
-            first = cand
-    if first is None or first > hi:
+    if lo > hi:
+        return []
+    # first member >= lo: lo itself, or the right end of its bracket in F_n
+    first = Fraction(lo) if lo.denominator <= n else farey_bracket(lo, n)[1]
+    if first > hi:
         return []
     out = [first]
-    if first == hi:
-        return out
-    # neighbour of `first` on its right inside F_n seeds the recurrence
-    _, nxt = farey_neighbours(first, n)
-    if nxt is None or nxt > hi:
-        return out
-    out.append(nxt)
-    a, b = first, nxt
-    while b < hi:
+    # the right neighbour of `first` in F_n seeds the next-term recurrence
+    a, b = first, farey_neighbours(first, n)[1]
+    while b is not None and b <= hi:
+        out.append(b)
         k = (n + a.denominator) // b.denominator
-        c = Fraction(k * b.numerator - a.numerator,
-                     k * b.denominator - a.denominator)
-        if c > hi:
-            break
-        out.append(c)
-        a, b = b, c
+        a, b = b, Fraction(k * b.numerator - a.numerator,
+                           k * b.denominator - a.denominator)
     return out

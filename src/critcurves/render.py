@@ -24,12 +24,10 @@ from .triples import triple_points
 # tabular exports
 
 
-def segment_rows(chain: Chain, dec: ChainDecomposition | None = None):
+def segment_rows(chain: Chain):
     """CSV rows (all exact strings) for the curve segments of a chain."""
-    if dec is None:
-        dec = decompose(chain)
     rows = []
-    for curve in dec.curves:
+    for curve in decompose(chain).curves:
         rows.append(
             (
                 str(chain.i),
@@ -59,18 +57,19 @@ def decomposition_document(dec: ChainDecomposition) -> list[dict]:
     Words are raw letter strings ("" for the empty word); presentation
     concerns like power notation stay out of the data format.
     """
+    farey = [
+        {
+            "type": "farey",
+            "theta": format_rational(fp.theta),
+            "word": fp.boundary_word,
+            "critical_word": fp.critical_word,
+        }
+        for fp in dec.farey_points
+    ]
+    # Farey points, when there are any, bracket every curve
     items: list[dict] = []
     for k, curve in enumerate(dec.curves):
-        if dec.farey_points:
-            fp = dec.farey_points[k]
-            items.append(
-                {
-                    "type": "farey",
-                    "theta": format_rational(fp.theta),
-                    "word": fp.boundary_word,
-                    "critical_word": fp.critical_word,
-                }
-            )
+        items += farey[k : k + 1]
         items.append(
             {
                 "type": "curve",
@@ -81,16 +80,7 @@ def decomposition_document(dec: ChainDecomposition) -> list[dict]:
                 "word": curve.word,
             }
         )
-    if dec.farey_points:
-        fp = dec.farey_points[-1]
-        items.append(
-            {
-                "type": "farey",
-                "theta": format_rational(fp.theta),
-                "word": fp.boundary_word,
-                "critical_word": fp.critical_word,
-            }
-        )
+    items += farey[len(dec.curves) :]
     return items
 
 

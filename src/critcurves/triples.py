@@ -1,17 +1,25 @@
 """Triple points of the dominant lines at ζ and its two neighbours.
 
-Six lines pass through the column of ζ = (p/q, r/s): the positive and
-negative dominant lines of ζ↓, ζ and ζ↑.  Choosing one line per point
-gives eight sign-triples (μ1, μ2, μ3); the triple is concurrent exactly
-when the integer determinant
+Six lines pass through the column ζ↓, ζ, ζ↑ of ζ = (p/q, r/s): the
+positive and negative signed witnesses of each of the three points.
+Choosing one line per point gives eight sign-triples (μ1, μ2, μ3); over
+the slopes i₁, i₂, i₃ of the chosen lines the triple is concurrent
+exactly when the integer determinant
 
-    D(μ1, μ2, μ3) = ψ_{μ1}(τ⁻) − 2 ψ_{μ2}(τ) + ψ_{μ3}(τ⁺)
+    D(μ1, μ2, μ3) = (−i₁ + 2 i₂ − i₃)/q
 
-vanishes, where ψ₊ = floor and ψ₋ = ceil.  Exactly two of the eight
-vanish, and the two concurrency points have closed forms χ⁽¹⁾/χ⁽²⁾ over
-the last two convergents of θ.  Everything here is checked on the spot
-against brute-force line intersections, so a formula slip cannot
-propagate silently.
+vanishes.  Exactly two of the eight vanish, and the two concurrency
+points have closed forms χ⁽¹⁾_±/χ⁽²⁾_± over the last two convergents of
+θ.  D(+,+,+) alone picks the pair:
+
+    D(+,+,+) = −1   type I,  χ⁽¹⁾₊ and χ⁽²⁾₊
+    D(+,+,+) =  0   type II, χ⁽²⁾₊ and χ⁽²⁾₋
+    D(+,+,+) = +1   type I,  χ⁽¹⁾₋ and χ⁽²⁾₋
+
+Each located point is checked on the spot to lie on the three lines of
+its own vanishing triple, so a formula slip cannot propagate silently.
+`concurrency_oracle` intersects the lines of every triple directly; it is
+the reference that `verify` and the tests hold the located points to.
 """
 
 from __future__ import annotations
@@ -23,11 +31,18 @@ from fractions import Fraction
 
 from .chains import chain_new, farey_point_tests
 from .errors import ConsistencyError, DomainError
-from .exact import Rational, standard_continued_fraction
-from .orbit import CriticalPoint, critical_point
-from .points import PointContext, dominant_params, neighbours, point_context
+from .exact import Rational
+from .orbit import CriticalPoint, critical_point, signed_witness
+from .points import PointContext, neighbours, point_context
 
 SIGN_TRIPLES = tuple(itertools.product((1, -1), repeat=3))
+
+# D(+,+,+) -> (type, ((χ kind, ψ sign) of each triple point))
+_PAIRS = {
+    -1: ("I", ((1, 1), (2, 1))),
+    0: ("II", ((2, 1), (2, -1))),
+    1: ("I", ((1, -1), (2, -1))),
+}
 
 
 def psi(mu: int, x: Rational) -> int:
@@ -39,14 +54,32 @@ def psi(mu: int, x: Rational) -> int:
     raise DomainError(f"psi sign must be +1 or -1, got {mu!r}")
 
 
-def _context_with_neighbours(zeta: CriticalPoint):
+def _column(zeta: CriticalPoint) -> tuple[PointContext, list]:
+    """The point context of ζ and, for each sign-triple in `SIGN_TRIPLES`
+    order, (signs, its lines (i, j) through ζ↓, ζ, ζ↑, its determinant)."""
     up, down = neighbours(zeta)
     if up is None or down is None:
         raise DomainError(
             f"({zeta.theta}, {zeta.rho}) is missing a neighbour; triple-point "
             "structure needs both"
         )
-    return point_context(zeta), up, down
+    ctx = point_context(zeta)
+    witnesses = [
+        (signed_witness(base, 1), signed_witness(base, -1)) for base in (down, zeta, up)
+    ]
+    table = []
+    for signs in SIGN_TRIPLES:
+        lines = tuple(
+            pair[0] if mu == 1 else pair[1] for pair, mu in zip(witnesses, signs)
+        )
+        det, rem = divmod(-lines[0][0] + 2 * lines[1][0] - lines[2][0], ctx.q)
+        if rem:
+            raise ConsistencyError(
+                f"determinant {det + Fraction(rem, ctx.q)} is not an integer at "
+                f"({zeta.theta}, {zeta.rho})"
+            )
+        table.append((signs, lines, det))
+    return ctx, table
 
 
 def _mu(ctx: PointContext) -> int:
@@ -55,8 +88,7 @@ def _mu(ctx: PointContext) -> int:
 
 def mu_of(zeta: CriticalPoint) -> int:
     """μ = 2⌊τ⌋ − ⌊τ⁻⌋ − ⌊τ⁺⌋ (always one of −1, 0, +1)."""
-    ctx, _, _ = _context_with_neighbours(zeta)
-    return _mu(ctx)
+    return _mu(_column(zeta)[0])
 
 
 @dataclass(frozen=True)
@@ -69,31 +101,13 @@ class ConcurrencyEntry:
 def concurrency_oracle(zeta: CriticalPoint) -> tuple[ConcurrencyEntry, ...]:
     """Brute-force concurrency over all eight sign-triples.
 
-    The determinant is evaluated as (−i₁ + 2 i₂ − i₃)/q over the actual
-    dominant slopes — which agrees with the ψ-form in the interior and
-    stays valid on the special rows where a neighbour sits on ρ = 0 or
-    ρ = 1 and the interior formulas break down.  Each triple's lines are
-    also intersected directly; D = 0 must coincide with concurrency.
+    Shares the lines and determinants of `triple_points` but none of its
+    closed forms: each triple's lines are intersected directly, and
+    D = 0 must coincide with concurrency.
     """
-    _, up, down = _context_with_neighbours(zeta)
-    q = zeta.theta.denominator
-    by_point = (dominant_params(down), dominant_params(zeta), dominant_params(up))
     entries = []
-    for signs in SIGN_TRIPLES:
-        lines = []
-        for params, mu in zip(by_point, signs):
-            chosen = params[0] if mu == 1 else params[1]
-            if chosen is None:
-                raise ConsistencyError(
-                    "missing dominant line away from the corners"
-                )
-            lines.append(chosen)
+    for signs, lines, det in _column(zeta)[1]:
         (i1, j1), (i2, j2), (i3, j3) = lines
-        det = Fraction(-i1 + 2 * i2 - i3, q)
-        if det.denominator != 1:
-            raise ConsistencyError(
-                f"determinant {det} is not an integer at ({zeta.theta}, {zeta.rho})"
-            )
         if i1 == i2:
             raise ConsistencyError(
                 "dominant lines of ζ and ζ↓ can never be parallel"
@@ -106,9 +120,7 @@ def concurrency_oracle(zeta: CriticalPoint) -> tuple[ConcurrencyEntry, ...]:
                 f"determinant/intersection mismatch for signs {signs} at "
                 f"({zeta.theta}, {zeta.rho})"
             )
-        entries.append(
-            ConcurrencyEntry(signs, int(det), (x, y) if concurrent else None)
-        )
+        entries.append(ConcurrencyEntry(signs, det, (x, y) if concurrent else None))
     return tuple(entries)
 
 
@@ -151,63 +163,58 @@ def _chi(ctx, which: int, mu_sign: int) -> tuple[Rational, Rational]:
     return Fraction(pd, qd), rho_val
 
 
-def triple_points(zeta: CriticalPoint) -> TriplePointReport:
-    """Both triple points of ζ with their closed-form provenance.
-
-    The case split: q = 2 and the rows ρ = 1/q, (q−1)/q key on the
-    parity of n (the interior τ± turn integer there); otherwise μ ≠ 0
-    gives a type-I pair χ⁽¹⁾_μ, χ⁽²⁾_μ and μ = 0 the type-II pair
-    χ⁽²⁾₊, χ⁽²⁾₋.  Locations must match the concurrency oracle exactly.
-    """
-    ctx, _, _ = _context_with_neighbours(zeta)
-    q, rho = ctx.q, zeta.rho
-    n = ctx.cf.n
-    mu = _mu(ctx)
-    if q == 2:
-        kind, specs = "II", ((2, 1), (2, -1))
-    elif rho == Fraction(1, q):
-        if n % 2 == 1:
-            kind, specs = "I", ((1, -1), (2, -1))
-        else:
-            kind, specs = "II", ((2, 1), (2, -1))
-    elif rho == Fraction(q - 1, q):
-        if n % 2 == 1:
-            kind, specs = "I", ((1, 1), (2, 1))
-        else:
-            kind, specs = "II", ((2, 1), (2, -1))
-    elif mu != 0:
-        kind, specs = "I", ((1, mu), (2, mu))
-    else:
-        kind, specs = "II", ((2, 1), (2, -1))
-
+def _report(zeta: CriticalPoint, ctx: PointContext, table: list) -> TriplePointReport:
+    """`triple_points` of ζ from the context and table of `_column`."""
+    d_plus = table[0][2]
+    if d_plus not in _PAIRS:
+        raise ConsistencyError(
+            f"D(+,+,+) = {d_plus} at ({zeta.theta}, {zeta.rho}); expected -1, 0 or 1"
+        )
+    kind, specs = _PAIRS[d_plus]
     locations = [_chi(ctx, which, sign) for which, sign in specs]
-    distinct_theta = locations[0][0] != locations[1][0]
-    if distinct_theta != (kind == "I"):
+    if (locations[0][0] != locations[1][0]) != (kind == "I"):
         raise ConsistencyError(
             f"type {kind} dispatch contradicts the locations {locations}"
         )
-
-    oracle = concurrency_oracle(zeta)
-    vanishing = [entry for entry in oracle if entry.determinant == 0]
+    vanishing = [(signs, lines) for signs, lines, det in table if det == 0]
     if len(vanishing) != 2:
         raise ConsistencyError(
             f"{len(vanishing)} of 8 sign-triples vanish at "
             f"({zeta.theta}, {zeta.rho}); expected exactly 2"
         )
+    matched = {}
     points = []
-    remaining = list(vanishing)
-    for (which, sign), loc in zip(specs, locations):
-        match = next((e for e in remaining if e.point == loc), None)
-        if match is None:
+    for (which, sign), (x, y) in zip(specs, locations):
+        on = [
+            signs
+            for signs, lines in vanishing
+            if signs not in matched and all(i * x - j == y for i, j in lines)
+        ]
+        if not on:
             raise ConsistencyError(
-                f"closed-form point {loc} not among the oracle's "
+                f"closed-form point {(x, y)} not among the oracle's "
                 f"concurrency points at ({zeta.theta}, {zeta.rho})"
             )
-        remaining.remove(match)
-        points.append(
-            TriplePoint(critical_point(*loc), f"chi{which}", sign, match.signs)
-        )
-    return TriplePointReport(zeta, mu, kind, (points[0], points[1]), oracle)
+        matched[on[0]] = (x, y)
+        points.append(TriplePoint(critical_point(x, y), f"chi{which}", sign, on[0]))
+    oracle = tuple(
+        ConcurrencyEntry(signs, det, matched.get(signs)) for signs, _, det in table
+    )
+    return TriplePointReport(zeta, _mu(ctx), kind, (points[0], points[1]), oracle)
+
+
+def triple_points(zeta: CriticalPoint) -> TriplePointReport:
+    """Both triple points of ζ with their closed-form provenance.
+
+    D(+,+,+) of the three positive dominant lines picks the type and
+    the χ pair (see the module docstring).  Each point must lie on the
+    three lines of one of the two vanishing sign-triples, which becomes
+    its `sign_triple`; `oracle` lists every triple's signs, determinant
+    and matched point.  `mu` is the ψ-form 2⌊τ⌋ − ⌊τ⁻⌋ − ⌊τ⁺⌋; it
+    equals −D(+,+,+) away from the rows ρ = 1/q, (q−1)/q and can differ
+    on them.
+    """
+    return _report(zeta, *_column(zeta))
 
 
 @dataclass(frozen=True)
@@ -219,17 +226,16 @@ class TripleFareyStatus:
 def triple_point_farey_status(zeta: CriticalPoint) -> tuple[TripleFareyStatus, ...]:
     """How many of the three concurrent chains have the triple point as
     a Farey point: at least one for type I, at least two for type II."""
-    report = triple_points(zeta)
-    _, up, down = _context_with_neighbours(zeta)
-    by_point = (dominant_params(down), dominant_params(zeta), dominant_params(up))
+    ctx, table = _column(zeta)
+    report = _report(zeta, ctx, table)
+    lines_of = {signs: lines for signs, lines, _ in table}
     needed = 1 if report.kind == "I" else 2
     out = []
     for pt in report.points:
-        count = 0
-        for params, mu in zip(by_point, pt.sign_triple):
-            i, j = params[0] if mu == 1 else params[1]
-            if farey_point_tests(chain_new(i, j), pt.location).is_farey:
-                count += 1
+        count = sum(
+            farey_point_tests(chain_new(i, j), pt.location).is_farey
+            for i, j in lines_of[pt.sign_triple]
+        )
         if count < needed:
             raise ConsistencyError(
                 f"type {report.kind} point ({pt.location.theta}, "
@@ -237,37 +243,4 @@ def triple_point_farey_status(zeta: CriticalPoint) -> tuple[TripleFareyStatus, .
                 f"three concurrent chains"
             )
         out.append(TripleFareyStatus(pt.location, count))
-    return tuple(out)
-
-
-def _alternate_triple_locations(
-    zeta: CriticalPoint,
-) -> tuple[tuple[Rational, Rational], ...]:
-    """Recompute the triple-point locations in the other continued-
-    fraction convention (last coefficient ≥ 2).
-
-    Switching conventions exchanges the roles of the χ kinds: what χ⁽¹⁾
-    computes from […, a−1, 1] is produced by the χ⁽²⁾ shape over the
-    difference of the last two convergents of […, a], and vice versa.
-    Test support for the representation-independence property; not used
-    by the production path.
-    """
-    report = triple_points(zeta)
-    cf = standard_continued_fraction(zeta.theta)
-    n = cf.n
-    parity = -1 if n % 2 == 0 else 1
-    r, s = zeta.rho.numerator, zeta.rho.denominator
-    tau_bar = parity * cf.q(n - 1) * zeta.rho
-    out = []
-    for pt in report.points:
-        level = psi(pt.psi_sign, tau_bar) * parity
-        if pt.chi_kind == "chi1":
-            dq = cf.q(n) - cf.q(n - 1)
-            dp = cf.p(n) - cf.p(n - 1)
-            theta = Fraction(dp, dq)
-            rho_val = Fraction(r * cf.q(n), s * dq) - Fraction(level, dq)
-        else:
-            theta = Fraction(cf.p(n - 1), cf.q(n - 1))
-            rho_val = Fraction(level, cf.q(n - 1))
-        out.append((theta, rho_val))
     return tuple(out)

@@ -46,7 +46,8 @@ from .points import (
     point_context,
 )
 from .triples import (
-    _alternate_triple_locations,
+    concurrency_oracle,
+    psi,
     triple_point_farey_status,
     triple_points,
 )
@@ -406,6 +407,35 @@ def check_pencil_words(max_q: int) -> str:
 # triples
 
 
+def _alternate_triple_locations(report) -> tuple[tuple[Fraction, Fraction], ...]:
+    """Recompute the triple-point locations of a report in the other
+    continued-fraction convention (last coefficient ≥ 2).
+
+    Switching conventions exchanges the roles of the χ kinds: what χ⁽¹⁾
+    computes from […, a−1, 1] is produced by the χ⁽²⁾ shape over the
+    difference of the last two convergents of […, a], and vice versa.
+    """
+    zeta = report.zeta
+    cf = standard_continued_fraction(zeta.theta)
+    n = cf.n
+    parity = -1 if n % 2 == 0 else 1
+    r, s = zeta.rho.numerator, zeta.rho.denominator
+    tau_bar = parity * cf.q(n - 1) * zeta.rho
+    out = []
+    for pt in report.points:
+        level = psi(pt.psi_sign, tau_bar) * parity
+        if pt.chi_kind == "chi1":
+            dq = cf.q(n) - cf.q(n - 1)
+            dp = cf.p(n) - cf.p(n - 1)
+            theta = Fraction(dp, dq)
+            rho_val = Fraction(r * cf.q(n), s * dq) - Fraction(level, dq)
+        else:
+            theta = Fraction(cf.p(n - 1), cf.q(n - 1))
+            rho_val = Fraction(level, cf.q(n - 1))
+        out.append((theta, rho_val))
+    return tuple(out)
+
+
 def check_triple_points(max_q: int) -> str:
     points = 0
     for p, q in _coprime_pairs(max_q):
@@ -415,6 +445,7 @@ def check_triple_points(max_q: int) -> str:
                 continue
             zeta = critical_point(theta, rho)
             report = triple_points(zeta)
+            assert report.oracle == concurrency_oracle(zeta)
             assert report.mu in (-1, 0, 1)
             assert report.determinant_table.count(0) == 2
             cf = continued_fraction(theta)
@@ -424,7 +455,7 @@ def check_triple_points(max_q: int) -> str:
             }
             for pt in report.points:
                 assert pt.location.theta in convergent_thetas
-            alt = _alternate_triple_locations(zeta)
+            alt = _alternate_triple_locations(report)
             assert alt == tuple(
                 (pt.location.theta, pt.location.rho) for pt in report.points
             )

@@ -19,6 +19,7 @@ from critcurves import (
     chain_new,
     cli,
     code_orbit,
+    concurrency_oracle,
     continued_fraction,
     critical_point,
     curve_count,
@@ -351,6 +352,7 @@ def test_criterion_08_triple_points():
     points = 0
     for zeta in _interior_points(30):
         report = triple_points(zeta)
+        assert report.oracle == concurrency_oracle(zeta)
         zeros = {e.signs: e.point for e in report.oracle if e.determinant == 0}
         assert len(zeros) == 2
         cf = continued_fraction(zeta.theta)

@@ -96,6 +96,20 @@ def test_chain_counts_without_decomposing(capsys):
     assert elapsed < 30.0
 
 
+def test_chain_counts_a_narrow_window_quickly(capsys):
+    # L(10^6, 0) spans [0, 1/10^6], one curve between two Farey points;
+    # finding the window's first member must not walk all of F_{10^6}
+    start = time.monotonic()
+    code, out, _ = run(capsys, "chain", "1000000", "0", "--json")
+    elapsed = time.monotonic() - start
+    assert code == 0
+    assert json.loads(out) == {
+        "i": 1000000, "j": 0, "theta_minus": "0/1", "theta_plus": "1/1000000",
+        "order": 1000000, "farey_points": 2, "curves": 1,
+    }
+    assert elapsed < 1.0
+
+
 def test_point(capsys):
     code, out, _ = run(capsys, "point", "3/5", "2/5")
     assert code == 0

@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from critcurves import (
     ParameterError,
@@ -151,6 +151,20 @@ def test_farey_sequence_rejects_bad_windows():
         farey_sequence(0, Fraction(0), Fraction(1))
     with pytest.raises(ParameterError):
         farey_sequence(3, Fraction(1, 2), Fraction(1, 3))
+
+
+window_ends = st.fractions(min_value=-1, max_value=2, max_denominator=60)
+
+
+@given(st.integers(min_value=1, max_value=30), window_ends, window_ends)
+@example(5, Fraction(5, 8), Fraction(9, 10))  # lo outside F_5
+@example(5, Fraction(-1, 2), Fraction(1, 3))  # lo < 0
+@example(5, Fraction(2, 3), Fraction(3, 2))  # hi > 1
+@example(5, Fraction(5, 4), Fraction(3, 2))  # lo > 1: empty
+def test_farey_sequence_windows_match_the_full_sequence(n, a, b):
+    lo, hi = min(a, b), max(a, b)
+    full = farey_sequence(n, Fraction(0), Fraction(1))
+    assert farey_sequence(n, lo, hi) == [x for x in full if lo <= x <= hi]
 
 
 def test_farey_neighbours_examples():

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from critcurves import (
     SIGN_TRIPLES,
+    ConsistencyError,
     DomainError,
     ParameterError,
     concurrency_oracle,
@@ -14,7 +15,8 @@ from critcurves import (
     triple_point_farey_status,
     triple_points,
 )
-from critcurves.triples import _alternate_triple_locations
+from critcurves import triples
+from critcurves.verify import _alternate_triple_locations
 
 
 def interior_points(max_q=14):
@@ -125,6 +127,50 @@ GOLDEN = {
         dets=(0, 1, -2, -1, 1, 2, -1, 0),
         farey=[2, 3],
     ),
+    # mu = +1
+    (F(2, 5), F(2, 5)): dict(
+        mu=1,
+        kind="I",
+        points=[
+            ((F(1, 3), F(1, 3)), "chi1", 1, (-1, 1, 1)),
+            ((F(1, 2), F(1, 2)), "chi2", 1, (1, 1, -1)),
+        ],
+        dets=(-1, 0, -3, -2, 0, 1, -2, -1),
+        farey=[1, 1],
+    ),
+    # rho = 1/q with n odd
+    (F(2, 5), F(1, 5)): dict(
+        mu=-1,
+        kind="I",
+        points=[
+            ((F(1, 3), F(1, 3)), "chi1", -1, (-1, -1, 1)),
+            ((F(1, 2), F(0)), "chi2", -1, (1, -1, -1)),
+        ],
+        dets=(1, 2, -1, 0, 2, 3, 0, 1),
+        farey=[1, 2],
+    ),
+    # type II with mu = -1 (rho = (q-1)/q, n even)
+    (F(3, 5), F(4, 5)): dict(
+        mu=-1,
+        kind="II",
+        points=[
+            ((F(1, 2), F(1, 2)), "chi2", 1, (1, 1, 1)),
+            ((F(1, 2), F(1)), "chi2", -1, (-1, -1, -1)),
+        ],
+        dets=(0, 1, -2, -1, 1, 2, -1, 0),
+        farey=[2, 2],
+    ),
+    # type I with mu = 0 (rho = (q-1)/q, n odd)
+    (F(2, 5), F(4, 5)): dict(
+        mu=0,
+        kind="I",
+        points=[
+            ((F(1, 3), F(2, 3)), "chi1", 1, (-1, 1, 1)),
+            ((F(1, 2), F(1)), "chi2", 1, (1, 1, -1)),
+        ],
+        dets=(-1, 0, -3, -2, 0, 1, -2, -1),
+        farey=[1, 2],
+    ),
 }
 
 
@@ -150,10 +196,27 @@ def test_triple_points_reject_rows():
         triple_points(critical_point(F(2, 5), F(0)))
 
 
+def test_wrong_closed_form_is_caught(monkeypatch):
+    right = triples._chi
+
+    def shifted(ctx, which, sign):
+        # one step of 1/q_k up: still a critical point, on none of the lines
+        theta, rho = right(ctx, which, sign)
+        return theta, rho + F(1, theta.denominator)
+
+    monkeypatch.setattr(triples, "_chi", shifted)
+    zeta = critical_point(F(3, 5), F(2, 5))
+    with pytest.raises(ConsistencyError, match="not among"):
+        triple_points(zeta)
+    with pytest.raises(ConsistencyError, match="not among"):
+        triple_point_farey_status(zeta)
+
+
 @settings(max_examples=50, deadline=None)
 @given(interior_points())
 def test_triple_points_structure(zeta):
     report = triple_points(zeta)
+    assert report.oracle == concurrency_oracle(zeta)
     # the two located points are exactly the oracle's concurrent triples
     zeros = {e.signs: e.point for e in report.oracle if e.determinant == 0}
     assert len(zeros) == 2
@@ -172,7 +235,7 @@ def test_triple_points_structure(zeta):
 @given(interior_points(max_q=12))
 def test_alternate_convention_agrees(zeta):
     report = triple_points(zeta)
-    alternate = _alternate_triple_locations(zeta)
+    alternate = _alternate_triple_locations(report)
     assert alternate == tuple(
         (pt.location.theta, pt.location.rho) for pt in report.points
     )
