@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ConsistencyError, DomainError, ParameterError
-from .exact import Rational, farey_sequence
+from .exact import Rational, _farey_pairs, farey_sequence
 from .orbit import CriticalPoint, Word, brute_force_critical_word
 
 
@@ -146,9 +146,9 @@ def decompose(chain: Chain) -> ChainDecomposition:
     Farey points.  A negative chain is the vertical mirror (ρ ↦ 1−ρ) of
     the positive chain L_{−i, −j−1} over the same θ-range, which swaps
     the two partition letters; its words are the letter-swapped words of
-    that partner.  Critical words at the Farey points come from the
-    brute-force oracle in the chain's own sign, except on the rows
-    ρ ∈ {0, 1} where the centre is empty and the critical word is ε.
+    that partner.  The critical word at a Farey point codes the signed
+    witness of the chain's own sign there, except on the rows ρ ∈ {0, 1}
+    where the centre is empty and the critical word is ε.
     """
     if chain.i == 0:
         return ChainDecomposition(
@@ -190,7 +190,7 @@ def curve_count(chain: Chain) -> int:
     """Number of critical curves: |F_{|i|} ∩ [θ⁻, θ⁺]| − 1 (1 when i = 0)."""
     if chain.i == 0:
         return 1
-    return len(farey_sequence(chain.order, chain.theta_minus, chain.theta_plus)) - 1
+    return sum(1 for _ in _farey_pairs(chain.order, chain.theta_minus, chain.theta_plus)) - 1
 
 
 def residue_cover(n: int, m: int) -> dict[int, Rational]:

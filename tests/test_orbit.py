@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -181,6 +182,26 @@ def test_signed_witness_validates():
         signed_witness(CriticalPoint(Fraction(3, 2), Fraction(1, 2)), 1)
     with pytest.raises(CriticalityError):
         signed_witness(CriticalPoint(Fraction(3, 4), Fraction(1, 3)), -1)
+
+
+def test_critical_point_validates_on_construction():
+    with pytest.raises(CriticalityError, match=r"^\(3/4, 1/3\) is not a critical point$"):
+        CriticalPoint(Fraction(3, 4), Fraction(1, 3))
+    with pytest.raises(ParameterError, match=r"^theta and rho must lie in \[0, 1\]$"):
+        CriticalPoint(Fraction(3, 2), Fraction(1, 2))
+
+
+def test_critical_point_witness_stays_out_of_equality_hash_and_repr():
+    (spec,) = [f for f in dataclasses.fields(CriticalPoint) if f.name == "_witness"]
+    assert not (spec.init or spec.repr or spec.compare)
+    for theta, rho in [(Fraction(3, 5), Fraction(2, 5)), (Fraction(1, 2), Fraction(0)),
+                       (Fraction(1, 3), Fraction(1))]:
+        zeta = CriticalPoint(theta, rho)
+        assert zeta._witness == is_critical(theta, rho)[1]
+        twin = critical_point(theta, rho)
+        object.__setattr__(twin, "_witness", (7, 7))
+        assert zeta == twin and hash(zeta) == hash(twin)
+        assert repr(zeta) == repr(twin) == f"CriticalPoint(theta={theta!r}, rho={rho!r})"
 
 
 def test_closed_forms_match_orbit_scan():

@@ -22,6 +22,7 @@ from critcurves import (
     pencil_word,
     point_context,
 )
+from critcurves import orbit, points
 
 CORNERS = [(F(0), F(0)), (F(1), F(0)), (F(0), F(1)), (F(1), F(1))]
 
@@ -359,3 +360,61 @@ def test_approach_sequence_validation():
         approach_sequence((1, 1, 1, 1, 1), 1, 2)
     with pytest.raises(ParameterError):
         approach_sequence((0, 1, 0, 1, 1), 1, 2)
+
+
+def _critical_points(max_q):
+    for q in range(1, max_q + 1):
+        for p in range(q + 1):
+            theta = F(p, q)
+            if theta.denominator == q:
+                for k in range(q + 1):
+                    yield theta, F(k, q)
+
+
+def test_closed_form_runs_once_per_constructed_point(monkeypatch):
+    """ζ validates itself once; signed witnesses, dominant chains,
+    quadrants and pencil chains reuse the witness it carries, and each
+    pencil endpoint costs one check, made when it is constructed."""
+    calls = []
+    real = orbit._closed_form_witness
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(orbit, "_closed_form_witness", counting)
+    critical_point(F(3, 5), F(2, 5))
+    assert len(calls) == 1
+    for theta, rho in _critical_points(7):
+        zeta = critical_point(theta, rho)
+        calls.clear()
+        for sign in (1, -1):
+            orbit.signed_witness(zeta, sign)
+        dominant_params(zeta)
+        for sigma in available_quadrants(zeta):
+            for ell in range(4):
+                pencil_params(zeta, sigma, ell)
+        assert calls == [], (theta, rho)
+        sides = [side for side in neighbours(zeta) if side is not None]
+        assert len(calls) == sum(0 < side.rho < 1 for side in sides)
+        calls.clear()
+        for sigma in available_quadrants(zeta):
+            for ell in range(1, 4):
+                end = pencil_endpoint(zeta, sigma, ell)
+                assert len(calls) == (0 < end.rho < 1), (theta, rho, sigma, ell)
+                calls.clear()
+
+
+def test_pencil_descriptor_checks_its_arguments_once(monkeypatch):
+    calls = []
+    real = points.available_quadrants
+
+    def counting(zeta):
+        calls.append(zeta)
+        return real(zeta)
+
+    monkeypatch.setattr(points, "available_quadrants", counting)
+    zeta = critical_point(F(3, 5), F(2, 5))
+    desc = pencil_descriptor(zeta, "I", 2)
+    assert len(calls) == 1
+    assert desc.endpoint == pencil_endpoint(zeta, "I", 2)
