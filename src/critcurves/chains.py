@@ -7,10 +7,19 @@ points.  Words along a positive chain follow a flip recursion: starting
 from b^n at θ⁻, each Farey fraction p/q flips a fixed congruence class
 of letter positions from b to a, and by the time θ⁺ is reached every
 position has flipped exactly once, ending at a^n.
+
+One private sweep runs that recursion for every consumer.  It walks the
+Farey fractions as integer pairs (p, q) and holds the word in a
+`bytearray`, so each congruence class flips with one slice assignment,
+word[start::q] = a…a; a position that would flip twice raises
+`ConsistencyError`.  `decompose` builds `Fraction`s only for its public
+fields, and the CSV rows of `render.segment_rows` come straight from the
+pairs and the curve words.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -68,10 +77,8 @@ def chain_new(i: int, j: int) -> Chain:
     if i == 0:
         return Chain(0, j, Fraction(0), Fraction(1))
     if i > 0:
-        lo = Fraction(j, i)
-    else:
-        lo = Fraction(j + 1, i)
-    return Chain(i, j, lo, lo + Fraction(1, abs(i)))
+        return Chain(i, j, Fraction(j, i), Fraction(j + 1, i))
+    return Chain(i, j, Fraction(j + 1, i), Fraction(j, i))
 
 
 @dataclass(frozen=True)
@@ -95,48 +102,51 @@ class ChainDecomposition:
     curves: tuple[CurveSegment, ...]
 
 
-def _flip(word: str, residue: int, q: int, include_zero: bool) -> str:
-    """Flip b→a at positions k ≡ residue (mod q) of `word`.
+_SWAP = bytes.maketrans(b"ab", b"ba")
 
-    Each position along a chain flips exactly once, so hitting anything
-    but 'b' means the recursion went wrong.
+
+def _sweep(chain: Chain, boundaries: bool) -> Iterator[tuple[int, int, str | None, str | None]]:
+    """Walk a chain of order n ≥ 1 across its Farey fractions a/b, left
+    to right, as integer pairs.
+
+    Yields (a, b, curve, boundary) at each Farey point: `curve` is the
+    word of the curve that ends there (None at θ⁻) and `boundary` the
+    word at the point itself (None unless `boundaries` is set).  Leaving
+    a/b flips k ≡ n (mod b), which at θ⁻ is k ≡ 0 including k = 0;
+    arriving at a/b flips k ≡ 0 (mod b) for k ≥ 1.  A negative chain's
+    words are those of its mirror partner L_{−i, −j−1}, which spans the
+    same θ-range, with a and b swapped.
     """
-    symbols = list(word)
-    start = residue % q
-    if start == 0 and not include_zero:
-        start = q
-    for k in range(start, len(symbols), q):
-        if symbols[k] != "b":
+    n = chain.order
+    swap = None
+    if chain.i < 0:
+        partner = chain_new(-chain.i, -chain.j - 1)
+        if (partner.theta_minus, partner.theta_plus) != (
+            chain.theta_minus,
+            chain.theta_plus,
+        ):
+            raise ConsistencyError("mirror partner spans a different θ-range")
+        swap = _SWAP
+    word = bytearray(b"b") * n
+
+    def flip(start: int, q: int) -> None:
+        if b"a" in word[start::q]:
+            k = start + q * word[start::q].index(b"a")
             raise ConsistencyError(
-                f"position {k} flipped twice while decomposing (word {word!r})"
+                f"position {k} flipped twice while decomposing {chain} "
+                f"(word {word.decode()!r})"
             )
-        symbols[k] = "a"
-    return "".join(symbols)
+        word[start::q] = b"a" * len(range(start, n, q))
 
-
-def _positive_words(n: int, fractions: list[Rational]) -> tuple[list[str], list[str]]:
-    """Boundary and curve words of a positive chain of order n, swept
-    left to right across its Farey fractions."""
-    boundary = ["b" * n]
-    curves = []
-    word = boundary[0]
-    for idx, frac in enumerate(fractions[:-1]):
-        q = frac.denominator
-        if idx == 0:
-            # leaving θ⁻: the k ≡ 0 class flips including k = 0
-            word = _flip(word, 0, q, include_zero=True)
-        else:
-            # leaving an interior fraction to the right: k ≡ n (mod q);
-            # n is never divisible by an interior denominator
-            word = _flip(word, n, q, include_zero=True)
-        curves.append(word)
-        # arriving at the next fraction from the left: k ≡ 0, k ≥ 1
-        word = _flip(word, 0, fractions[idx + 1].denominator, include_zero=False)
-        boundary.append(word)
-    return boundary, curves
-
-
-_SWAP = str.maketrans("ab", "ba")
+    prev = 0
+    for a, b in _farey_pairs(n, chain.theta_minus, chain.theta_plus):
+        curve = None
+        if prev:
+            flip(n % prev, prev)
+            curve = word.translate(swap).decode()
+            flip(b, b)
+        yield a, b, curve, word.translate(swap).decode() if boundaries else None
+        prev = b
 
 
 def decompose(chain: Chain) -> ChainDecomposition:
@@ -154,36 +164,22 @@ def decompose(chain: Chain) -> ChainDecomposition:
         return ChainDecomposition(
             chain, (), (CurveSegment(Fraction(0), Fraction(1), ""),)
         )
-    n = chain.order
-    fractions = farey_sequence(n, chain.theta_minus, chain.theta_plus)
-    if chain.i > 0:
-        boundary, curves = _positive_words(n, fractions)
-    else:
-        partner = chain_new(-chain.i, -chain.j - 1)
-        if (partner.theta_minus, partner.theta_plus) != (
-            chain.theta_minus,
-            chain.theta_plus,
-        ):
-            raise ConsistencyError("mirror partner spans a different θ-range")
-        pos_boundary, pos_curves = _positive_words(n, fractions)
-        boundary = [w.translate(_SWAP) for w in pos_boundary]
-        curves = [w.translate(_SWAP) for w in pos_curves]
-
-    points = []
-    for frac, bword in zip(fractions, boundary):
-        rho = chain.rho_at(frac)
-        if rho == 0 or rho == 1:
+    i, j = chain.i, chain.j
+    points: list[FareyPoint] = []
+    segments: list[CurveSegment] = []
+    for a, b, curve, boundary in _sweep(chain, boundaries=True):
+        theta = Fraction(a, b)
+        num = i * a - j * b          # ρ = num/b
+        if num == 0 or num == b:
             critical = ""
         else:
             critical, _, _ = brute_force_critical_word(
-                CriticalPoint(frac, rho), chain.sign
+                CriticalPoint(theta, Fraction(num, b)), chain.sign
             )
-        points.append(FareyPoint(frac, bword, critical))
-    segments = tuple(
-        CurveSegment(fractions[k], fractions[k + 1], curves[k])
-        for k in range(len(curves))
-    )
-    return ChainDecomposition(chain, tuple(points), segments)
+        if curve is not None:
+            segments.append(CurveSegment(points[-1].theta, theta, curve))
+        points.append(FareyPoint(theta, boundary, critical))
+    return ChainDecomposition(chain, tuple(points), tuple(segments))
 
 
 def curve_count(chain: Chain) -> int:

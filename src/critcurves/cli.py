@@ -4,6 +4,11 @@ Exit codes: 0 on success, 1 for usage or domain errors, 2 when a
 verification suite reports a failure.  Fractions are read and printed
 exactly ("3/4"); human-readable words use power notation (ab^3ab^2)
 while JSON carries raw letter strings.
+
+Commands whose output grows without bound with their arguments are
+capped by the constants below.  Each cap is checked from the arguments
+alone, before anything is built, and a larger request fails with a
+`ParameterError` (exit 1).
 """
 
 from __future__ import annotations
@@ -33,8 +38,13 @@ from .render import (
     render_triples,
     segments_csv,
 )
-from .triples import triple_point_farey_status, triple_points
+from .triples import _report_and_status
 from .verify import SUITE_NAMES, run_suite
+
+
+MAX_WORD_LENGTH = 1 << 20  # letters `word` codes (--len, or q by default)
+MAX_CHAIN_ORDER = 4096     # |i| for `decompose` and `render decomposition`
+MAX_NET_ORDER = 128        # n for `net` and `render net`
 
 
 class _UsageError(Exception):
@@ -48,6 +58,11 @@ class _Parser(argparse.ArgumentParser):
 
 def _print_doc(doc) -> None:
     print(json.dumps(doc, indent=2, sort_keys=True))
+
+
+def _bounded(value: int, limit: int, what: str) -> None:
+    if value > limit:
+        raise ParameterError(f"{what} {value} exceeds the limit of {limit}")
 
 
 def _point_args(args):
@@ -88,6 +103,7 @@ def _cmd_word(args) -> int:
     rho = parse_rational(args.rho)
     start = parse_rational(args.start)
     length = args.length if args.length is not None else theta.denominator
+    _bounded(length, MAX_WORD_LENGTH, "word length")
     word = code_orbit(theta, rho, start, length)
     if args.json:
         _print_doc(
@@ -123,6 +139,7 @@ def _cmd_chain(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
+    _bounded(abs(args.i), MAX_CHAIN_ORDER, "chain order")
     chain = chain_new(args.i, args.j)
     items = decomposition_document(decompose(chain))
     if args.json:
@@ -239,8 +256,8 @@ def _signs_str(signs) -> str:
 
 def _cmd_triples(args) -> int:
     zeta = _point_args(args)
-    report = triple_points(zeta)
-    status = {s.location: s.farey_count for s in triple_point_farey_status(zeta)}
+    report, statuses = _report_and_status(zeta)
+    status = {s.location: s.farey_count for s in statuses}
     if args.json:
         doc = {
             "theta": format_rational(zeta.theta),
@@ -279,6 +296,7 @@ def _cmd_triples(args) -> int:
 
 
 def _cmd_net(args) -> int:
+    _bounded(args.n, MAX_NET_ORDER, "net order")
     result = net(args.n)
     if args.json:
         doc = {
@@ -317,6 +335,7 @@ def _render_report(args, written: dict[str, int]) -> int:
 
 
 def _cmd_render_net(args) -> int:
+    _bounded(args.n, MAX_NET_ORDER, "net order")
     result = net(args.n)
     written = {args.out: _write_file(args.out, render_net(result, scale=args.scale))}
     if args.csv:
@@ -325,6 +344,7 @@ def _cmd_render_net(args) -> int:
 
 
 def _cmd_render_decomposition(args) -> int:
+    _bounded(abs(args.i), MAX_CHAIN_ORDER, "chain order")
     chain = chain_new(args.i, args.j)
     dec = decompose(chain)
     written = {

@@ -179,6 +179,14 @@ def farey_bracket(x: Rational, n: int) -> tuple[Rational, Rational]:
     return Fraction(a, b), Fraction(c, d)
 
 
+def _right_pair(p: int, q: int, n: int) -> tuple[int, int]:
+    """Right neighbour (c, d) of p/q in F_n, for q ≤ n: d is the largest
+    d ≤ n with d ≡ −p⁻¹ (mod q) and c = (p·d + 1)/q.  At 1/1 this gives
+    (n + 1)/n, just past the end of [0, 1]."""
+    d = n - (n + pow(p, -1, q)) % q
+    return (p * d + 1) // q, d
+
+
 def farey_neighbours(x: Rational, n: int) -> tuple[Rational | None, Rational | None]:
     """Adjacent fractions of x inside F_n, for x itself a member of F_n.
 
@@ -197,37 +205,37 @@ def farey_neighbours(x: Rational, n: int) -> tuple[Rational | None, Rational | N
         return None, Fraction(1, n)
     if x == 1:
         return Fraction(n - 1, n), None
-    inv = pow(p, -1, q)
-    b = n - (n - inv) % q          # largest b <= n with b = p^{-1} (mod q)
-    left = Fraction(p * b - 1, q) / b
-    d = n - (n - (q - inv)) % q    # largest d <= n with d = -p^{-1} (mod q)
-    right = Fraction(p * d + 1, q) / d
-    return left, right
+    b = n - (n - pow(p, -1, q)) % q  # largest b <= n with b = p^{-1} (mod q)
+    return Fraction((p * b - 1) // q, b), Fraction(*_right_pair(p, q, n))
 
 
 def _farey_pairs(n: int, lo: Rational, hi: Rational) -> Iterator[tuple[int, int]]:
     """Members of F_n in [lo, hi], ascending, as (numerator, denominator)
-    pairs from the next-term recurrence, in O(1) memory."""
+    pairs from the next-term recurrence, in O(1) memory and integer
+    arithmetic."""
     if n < 1:
         raise ParameterError("Farey order must be >= 1")
-    if lo > hi:
+    a, b = lo.numerator, lo.denominator
+    hn, hd = hi.numerator, hi.denominator
+    if a * hd > hn * b:
         raise ParameterError("empty interval")
-    lo = max(lo, Fraction(0))
-    hi = min(hi, Fraction(1))
-    if lo > hi:
+    # clamp the window to [0, 1]
+    if a < 0:
+        a, b = 0, 1
+    if hn > hd:
+        hn, hd = 1, 1
+    if a * hd > hn * b:
         return
     # first member >= lo: lo itself, or the right end of its bracket in F_n
-    first = Fraction(lo) if lo.denominator <= n else farey_bracket(lo, n)[1]
-    if first > hi:
+    if b > n:  # lo was not clamped
+        first = farey_bracket(lo, n)[1]
+        a, b = first.numerator, first.denominator
+    if a * hd > hn * b:
         return
-    yield first.numerator, first.denominator
-    # the right neighbour of `first` in F_n seeds the next-term recurrence
-    right = farey_neighbours(first, n)[1]
-    if right is None:
-        return
-    a, b = first.numerator, first.denominator
-    c, d = right.numerator, right.denominator
-    while c * hi.denominator <= hi.numerator * d:
+    yield a, b
+    # the right neighbour of the first member seeds the recurrence
+    c, d = _right_pair(a, b, n)
+    while c * hd <= hn * d:
         yield c, d
         k = (n + b) // d
         a, b, c, d = c, d, k * c - a, k * d - b

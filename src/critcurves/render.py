@@ -1,9 +1,11 @@
 """Deterministic SVG / CSV / JSON views of nets, decompositions,
 pencils and triple points.
 
-All geometry is carried as exact fractions; floating point enters only
-at the final pixel projection, so identical inputs always render to
-identical bytes.
+All geometry is carried exactly, as fractions or integer pairs;
+floating point enters only at the final pixel projection, so identical
+inputs always render to identical bytes.  The net figure and the
+segment CSV read the chains' integers (i, j) and the chain sweep's
+Farey pairs directly and build no `Fraction` per chain or row.
 """
 
 from __future__ import annotations
@@ -11,8 +13,9 @@ from __future__ import annotations
 import csv
 import io
 from fractions import Fraction
+from math import gcd
 
-from .chains import Chain, ChainDecomposition, chain_new, decompose
+from .chains import Chain, ChainDecomposition, _sweep, chain_new
 from .errors import ParameterError
 from .exact import format_rational
 from .net import Net
@@ -25,20 +28,21 @@ from .triples import triple_points
 
 
 def segment_rows(chain: Chain):
-    """CSV rows (all exact strings) for the curve segments of a chain."""
+    """CSV rows (all exact strings) for the curve segments of a chain,
+    read off the chain sweep's integer pairs: θ = a/b and
+    ρ = (i·a − j·b)/b."""
+    i, j = chain.i, chain.j
+    ij = (str(i), str(j))
+    if i == 0:
+        return [(*ij, "0/1", "1/1", f"{-j}/1", f"{-j}/1", "")]
     rows = []
-    for curve in decompose(chain).curves:
-        rows.append(
-            (
-                str(chain.i),
-                str(chain.j),
-                format_rational(curve.theta_lo),
-                format_rational(curve.theta_hi),
-                format_rational(chain.rho_at(curve.theta_lo)),
-                format_rational(chain.rho_at(curve.theta_hi)),
-                curve.word,
-            )
-        )
+    for a, b, curve, _ in _sweep(chain, boundaries=False):
+        num = i * a - j * b
+        g = gcd(num, b)
+        end = (f"{a}/{b}", f"{num // g}/{b // g}")
+        if curve is not None:
+            rows.append((*ij, start[0], end[0], start[1], end[1], curve))
+        start = end
     return rows
 
 
@@ -93,7 +97,8 @@ _MARGIN = 40
 class _Frame:
     """Projection of an exact coordinate window onto pixels.
 
-    The only place in the package where floats appear.
+    With `render_net`'s integer projection, the only place in the
+    package where floats appear.
     """
 
     def __init__(self, x_span, y_span, scale: int):
@@ -118,10 +123,16 @@ def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
-def _line(frame: _Frame, a, b, style: str) -> str:
+def _pixel_line(a, b, style: str) -> str:
     return (
-        f'<line x1="{_fmt(frame.x(a[0]))}" y1="{_fmt(frame.y(a[1]))}" '
-        f'x2="{_fmt(frame.x(b[0]))}" y2="{_fmt(frame.y(b[1]))}" {style}/>'
+        f'<line x1="{_fmt(a[0])}" y1="{_fmt(a[1])}" '
+        f'x2="{_fmt(b[0])}" y2="{_fmt(b[1])}" {style}/>'
+    )
+
+
+def _line(frame: _Frame, a, b, style: str) -> str:
+    return _pixel_line(
+        (frame.x(a[0]), frame.y(a[1])), (frame.x(b[0]), frame.y(b[1])), style
     )
 
 
@@ -171,17 +182,28 @@ _QUADRANT_COLOURS = {
 
 def render_net(net_obj: Net, scale: int = 480) -> str:
     frame = _Frame((Fraction(0), Fraction(1)), (Fraction(0), Fraction(1)), scale)
+    width, height = frame.inner_w, frame.inner_h
+
+    def pixel(num: int, den: int, rho: int):
+        # the unit-square frame maps (θ, ρ) to these pixels; num/den is
+        # correctly rounded, exactly like float(Fraction(num, den))
+        return _MARGIN + num / den * width, _MARGIN + (1.0 - rho) * height
+
     body = ['<g id="chains">']
     for chain in net_obj.chains:
-        if chain.i > 0:
+        i, j = chain.i, chain.j
+        # each chain runs between the rows ρ = 0 and ρ = 1
+        if i > 0:
             colour = "#1f77b4"
-        elif chain.i < 0:
+            a, b = pixel(j, i, 0), pixel(j + 1, i, 1)
+        elif i < 0:
             colour = "#d62728"
+            a, b = pixel(j + 1, i, 1), pixel(j, i, 0)
         else:
             colour = "#444444"
-        a, b = _chain_ends(chain)
+            a, b = pixel(0, 1, -j), pixel(1, 1, -j)
         body.append(
-            _line(frame, a, b, f'stroke="{colour}" stroke-width="0.8" opacity="0.8"')
+            _pixel_line(a, b, f'stroke="{colour}" stroke-width="0.8" opacity="0.8"')
         )
     body.append("</g>")
     return _document(frame, body)

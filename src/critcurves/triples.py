@@ -223,9 +223,11 @@ class TripleFareyStatus:
     farey_count: int
 
 
-def triple_point_farey_status(zeta: CriticalPoint) -> tuple[TripleFareyStatus, ...]:
-    """How many of the three concurrent chains have the triple point as
-    a Farey point: at least one for type I, at least two for type II."""
+def _report_and_status(
+    zeta: CriticalPoint,
+) -> tuple[TriplePointReport, tuple[TripleFareyStatus, ...]]:
+    """`triple_points` and `triple_point_farey_status` of ζ from one
+    column."""
     ctx, table = _column(zeta)
     report = _report(zeta, ctx, table)
     lines_of = {signs: lines for signs, lines, _ in table}
@@ -243,4 +245,10 @@ def triple_point_farey_status(zeta: CriticalPoint) -> tuple[TripleFareyStatus, .
                 f"three concurrent chains"
             )
         out.append(TripleFareyStatus(pt.location, count))
-    return tuple(out)
+    return report, tuple(out)
+
+
+def triple_point_farey_status(zeta: CriticalPoint) -> tuple[TripleFareyStatus, ...]:
+    """How many of the three concurrent chains have the triple point as
+    a Farey point: at least one for type I, at least two for type II."""
+    return _report_and_status(zeta)[1]

@@ -23,6 +23,7 @@ from .exact import (
     continued_fraction,
     farey_neighbours,
     farey_sequence,
+    format_rational,
     standard_continued_fraction,
 )
 from .net import net
@@ -201,6 +202,24 @@ def check_brute_word_structure(max_q: int) -> str:
 # chains
 
 
+def _assert_segment_rows(dec) -> None:
+    """The CSV rows, which come from integer pairs, against the Fraction
+    route through the decomposition's curves."""
+    chain = dec.chain
+    assert render_mod.segment_rows(chain) == [
+        (
+            str(chain.i),
+            str(chain.j),
+            format_rational(curve.theta_lo),
+            format_rational(curve.theta_hi),
+            format_rational(chain.rho_at(curve.theta_lo)),
+            format_rational(chain.rho_at(curve.theta_hi)),
+            curve.word,
+        )
+        for curve in dec.curves
+    ]
+
+
 def check_decomposition_oracle(max_q: int) -> str:
     cap = min(max_q, 12)
     flip_pairs = {1: ("b", "a"), -1: ("a", "b")}
@@ -248,11 +267,13 @@ def check_decomposition_oracle(max_q: int) -> str:
                     )
                     assert flips == 1, f"index {pos} flips {flips} times"
                 assert curve_count(chain) == len(dec.curves)
+                _assert_segment_rows(dec)
                 chains += 1
     for j in (0, -1):
         dec0 = decompose(chain_new(0, j))
         assert dec0.farey_points == ()
         assert len(dec0.curves) == 1 and dec0.curves[0].word == ""
+        _assert_segment_rows(dec0)
         chains += 1
     return f"{chains} chains, {curves} curve words matched against direct coding"
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from critcurves import (
+    ConsistencyError,
     DomainError,
     ParameterError,
     chain_new,
@@ -15,7 +16,9 @@ from critcurves import (
     farey_point_tests,
     farey_sequence,
     residue_cover,
+    segments_csv,
 )
+from critcurves import chains
 
 
 def small_chains():
@@ -272,3 +275,18 @@ def test_farey_points_are_farey_sequence_members():
     assert [fp.theta for fp in dec.farey_points] == farey_sequence(
         9, chain.theta_minus, chain.theta_plus
     )
+
+
+def test_flipping_a_position_twice_is_a_consistency_error(monkeypatch):
+    farey_pairs = chains._farey_pairs
+
+    def doubled(n, lo, hi):
+        pairs = list(farey_pairs(n, lo, hi))
+        return iter(pairs[:2] + pairs[1:])  # the second member twice
+
+    monkeypatch.setattr(chains, "_farey_pairs", doubled)
+    for chain in (chain_new(7, 5), chain_new(-7, -3)):
+        with pytest.raises(ConsistencyError, match="flipped twice"):
+            decompose(chain)
+        with pytest.raises(ConsistencyError, match="flipped twice"):
+            segments_csv([chain])

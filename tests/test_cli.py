@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from critcurves import ParameterError, cli
+from critcurves import ParameterError, cli, triples
 
 GOLDEN_DECOMPOSE_7_5 = """\
 L(7,5): rho = 7*theta - (5) for theta in [5/7, 6/7]
@@ -274,3 +274,46 @@ def test_verify_worker_count():
     for jobs in (0, -1):
         with pytest.raises(ParameterError):
             worker_count(jobs, 14)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("word", "1/2", "1/2", "--len", "1000000000000"),
+        ("word", "1/100000000000", "1/2"),           # default length q
+        ("decompose", "1000000000", "0"),
+        ("decompose", "-1000000000", "-1"),
+        ("net", "1000000000"),
+        ("render", "net", "1000000000", "--out", "{tmp}/net.svg", "--csv", "{tmp}/net.csv"),
+        ("render", "decomposition", "1000000000", "0", "--out", "{tmp}/dec.svg"),
+    ],
+)
+def test_oversized_requests_fail_before_building(tmp_path, capsys, argv):
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "exceeds the limit" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_output_caps_admit_the_documented_sizes():
+    # the tests, `verify` and the benchmark use nets up to n = 100 and
+    # chains up to |i| = 2000
+    assert cli.MAX_NET_ORDER >= 100
+    assert cli.MAX_CHAIN_ORDER >= 2000
+    assert cli.MAX_WORD_LENGTH >= 2000
+
+
+def test_triples_builds_its_column_once(capsys, monkeypatch):
+    calls = []
+    column = triples._column
+
+    def counting(zeta):
+        calls.append(zeta)
+        return column(zeta)
+
+    monkeypatch.setattr(triples, "_column", counting)
+    code, _, _ = run(capsys, "triples", "3/5", "2/5")
+    assert code == 0
+    assert len(calls) == 1

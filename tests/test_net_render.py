@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction as F
 
@@ -17,6 +18,7 @@ from critcurves import (
     render_triples,
     segments_csv,
 )
+from critcurves import cli
 from critcurves.render import _Frame, segment_rows
 
 
@@ -120,3 +122,39 @@ def test_render_pencils_row_point():
     svg = render_pencils(critical_point(F(2, 5), F(0)), depth=2)
     assert 'id="pencil-I"' in svg and 'id="pencil-II"' in svg
     assert 'id="pencil-III"' not in svg
+
+
+# SHA-256 of outputs recorded before the chain sweep moved to integer
+# pairs; the CSV, the net SVG and `decompose --json` must stay byte-identical.
+NET_DIGESTS = {
+    0: ("1a72a91def5048c9686f604c35ed3bb276c7589cafd7b9c6167059368881c49d",
+        "223836d0fb1e8a603fd554edf987d3bbbf4898ce0a32334d582a162cbd509331"),
+    1: ("6182993fc518e153ae90b8ae511ae018d989a5624d6eab32156d664cb1fec8ef",
+        "6f79ccab5c32eecd21b5c9dda25605e7a7fe6d0e3d44b26844d2457c40787d2a"),
+    7: ("bd541156d0fbd830a9003cd51f393499bf9fb419e5babd0545fb19e37fc40874",
+        "46ecca13e1936fe947fbf9be1a49cb637adc87c26d0b8585b230cc8241359252"),
+    20: ("06204a71367ce844572e5aaa52297cd6e347f96db6e7ebe2a3a80521370e4391",
+         "0d6446e5b8348c70e342e8204315998f5e807651d27ee72c3ceccd054e405b81"),
+    32: ("69e024e3ffc09fbc387fea46bd17b1ac78024376eaf533c3339e4ef0ee38152e",
+         "77af33bc778054acfbfee6a28a9c812027497d8d975b62113d9a604c228acc9c"),
+}
+DECOMPOSE_JSON_DIGESTS = {
+    (7, 5): "00b85d17b32be804350b2363dda11ee10f7225f1fac0a8bff210854aa7e544d5",
+    (-7, -3): "6012dd4efb46823fd95529a4560c98ba1fc1c32baf972cb79865df952c1f20b0",
+    (48, 17): "473b59cfed6e77e4907d6b4bcfe501b0dd698e56f93d1bc1a2e4fa5539295bf0",
+    (-97, -40): "7d3b0df24b693e76492a38adbdbcdbe78e4ad1c3537307051cb197b343baa6b5",
+}
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_golden_digests(capsys):
+    for n, (csv_digest, svg_digest) in NET_DIGESTS.items():
+        result = net(n)
+        assert _sha256(segments_csv(result.chains)) == csv_digest, n
+        assert _sha256(render_net(result)) == svg_digest, n
+    for (i, j), digest in DECOMPOSE_JSON_DIGESTS.items():
+        assert cli.main(["decompose", str(i), str(j), "--json"]) == 0
+        assert _sha256(capsys.readouterr().out) == digest, (i, j)
