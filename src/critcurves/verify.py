@@ -4,7 +4,26 @@ re-checked against brute force at a configurable scale.
 Each check is a plain function taking the sweep bound and returning a
 human-readable detail string; any exception marks the check failed.
 The functions are module-level so a process pool can ship them to
-workers for the larger sweeps.
+workers for the larger sweeps.  The acceptance criteria in
+tests/test_acceptance.py run these checks, or the private sweeps behind
+them, at larger bounds; so each sweep is written once.
+
+The checks, with their cases at bound max_q (ζ = (p/q, k/q), rows and
+corners included unless the line says otherwise), caps and floors:
+- farey-adjacency: consecutive members of F_1..F_max_q.
+- cf-conventions: every p/q in (0, 1) with q ≤ max_q, both conventions.
+- farey-neighbours: every member of F_1..F_max_q.
+- coding-periodicity: every ζ with 0 < p/q < 1 and q ≤ max_q.
+- brute-word-structure: every ζ with q ≤ max_q, both signs.
+- decomposition-oracle: every chain with |i| ≤ max_q; cap 12.
+- residue-cover: every window (n, m) with n ≤ max_q; floor 30.
+- farey-point-tests: Farey points and midpoints of chains |i| ≤ max_q; cap 8.
+- dominant-minimality: every ζ with q ≤ max_q.
+- pencil-endpoints: every ζ with q ≤ max_q, 1 ≤ ℓ ≤ 4.
+- pencil-words: every ζ with q ≤ max_q, 0 ≤ ℓ ≤ 2; cap 10.
+- triple-points: every interior ζ with q ≤ max_q.
+- net-cardinality: every net of order ≤ max_q; floor 40.
+- render-determinism: fixed inputs; the bound is ignored.
 """
 
 from __future__ import annotations
@@ -18,7 +37,7 @@ from fractions import Fraction
 
 from . import render as render_mod
 from .chains import chain_new, curve_count, decompose, farey_point_tests, residue_cover
-from .errors import ParameterError
+from .errors import DomainError, ParameterError
 from .exact import (
     continued_fraction,
     farey_neighbours,
@@ -33,8 +52,10 @@ from .orbit import (
     critical_point,
     is_critical,
     scan_witness,
+    switch_first,
 )
 from .points import (
+    QUADRANTS,
     all_chain_params,
     available_quadrants,
     dominant_params,
@@ -46,12 +67,7 @@ from .points import (
     pencil_word,
     point_context,
 )
-from .triples import (
-    concurrency_oracle,
-    psi,
-    triple_point_farey_status,
-    triple_points,
-)
+from .triples import _report_and_status, concurrency_oracle, psi
 
 
 @dataclass(frozen=True)
@@ -99,6 +115,20 @@ def _valid_rhos(q: int):
 
 def _word_start(sign: int, rho: Fraction) -> Fraction:
     return Fraction(0) if sign > 0 else rho
+
+
+def _mediant(a: Fraction, b: Fraction) -> Fraction:
+    return Fraction(a.numerator + b.numerator, a.denominator + b.denominator)
+
+
+def _chains(max_order: int):
+    """Every chain with |i| ≤ max_order: the two horizontal ones, then
+    L(n, ·) and L(−n, ·) for n = 1..max_order."""
+    yield chain_new(0, -1)
+    yield chain_new(0, 0)
+    for n in range(1, max_order + 1):
+        yield from (chain_new(n, j) for j in range(n))
+        yield from (chain_new(-n, j) for j in range(-n, 0))
 
 
 def _oracle_witness(theta: Fraction, rho: Fraction, sign: int):
@@ -221,60 +251,57 @@ def _assert_segment_rows(dec) -> None:
 
 
 def check_decomposition_oracle(max_q: int) -> str:
-    cap = min(max_q, 12)
+    """Every word of every chain with |i| ≤ min(max_q, 12) against direct
+    coding: curve words at the midpoint and the mediant of their ends."""
     flip_pairs = {1: ("b", "a"), -1: ("a", "b")}
     chains = curves = 0
-    for n in range(1, cap + 1):
-        for i in (n, -n):
-            js = range(0, n) if i > 0 else range(-n, 0)
-            for j in js:
-                chain = chain_new(i, j)
-                dec = decompose(chain)
-                start_letter, end_letter = flip_pairs[chain.sign]
-                words = []
-                for k, curve in enumerate(dec.curves):
-                    fp = dec.farey_points[k]
-                    words.append(fp.boundary_word)
-                    mid = (curve.theta_lo + curve.theta_hi) / 2
-                    rho = chain.rho_at(mid)
-                    assert curve.word == code_orbit(mid, rho, _word_start(chain.sign, rho), n)
-                    words.append(curve.word)
-                    curves += 1
-                fp = dec.farey_points[-1]
-                words.append(fp.boundary_word)
-                for fp in dec.farey_points:
-                    rho = chain.rho_at(fp.theta)
-                    assert fp.boundary_word == code_orbit(
-                        fp.theta, rho, _word_start(chain.sign, rho), n
-                    )
-                    expected = (
-                        ""
-                        if rho in (0, 1)
-                        else code_orbit(
-                            fp.theta, rho, _word_start(chain.sign, rho),
-                            abs(scan_witness(fp.theta, rho, chain.sign)[0]),
-                        )
-                    )
-                    assert fp.critical_word == expected
-                # endpoint words and the single-flip law
-                assert words[0] == start_letter * n
-                assert words[-1] == end_letter * n
-                for pos in range(n):
-                    flips = sum(
-                        1
-                        for wa, wb in zip(words, words[1:])
-                        if wa[pos] != wb[pos]
-                    )
-                    assert flips == 1, f"index {pos} flips {flips} times"
-                assert curve_count(chain) == len(dec.curves)
-                _assert_segment_rows(dec)
-                chains += 1
-    for j in (0, -1):
-        dec0 = decompose(chain_new(0, j))
-        assert dec0.farey_points == ()
-        assert len(dec0.curves) == 1 and dec0.curves[0].word == ""
-        _assert_segment_rows(dec0)
+    for chain in _chains(min(max_q, 12)):
+        dec = decompose(chain)
+        _assert_segment_rows(dec)
         chains += 1
+        if chain.i == 0:
+            assert dec.farey_points == ()
+            assert len(dec.curves) == 1 and dec.curves[0].word == ""
+            continue
+        if chain.i < 0:
+            # the sweep codes a negative chain through this partner
+            partner = chain_new(-chain.i, -chain.j - 1)
+            assert (partner.theta_minus, partner.theta_plus) == (
+                chain.theta_minus,
+                chain.theta_plus,
+            ), f"{chain}: mirror partner spans a different θ-range"
+        n = chain.order
+
+        def coding(theta, length=n):
+            rho = chain.rho_at(theta)
+            return code_orbit(theta, rho, _word_start(chain.sign, rho), length)
+
+        assert len(dec.farey_points) == len(dec.curves) + 1
+        words = [dec.farey_points[0].boundary_word]
+        for curve, fp in zip(dec.curves, dec.farey_points[1:]):
+            lo, hi = curve.theta_lo, curve.theta_hi
+            assert curve.word == coding((lo + hi) / 2) == coding(_mediant(lo, hi)), (
+                f"{chain}: curve ({lo}, {hi})"
+            )
+            words += [curve.word, fp.boundary_word]
+            curves += 1
+        for fp in dec.farey_points:
+            assert fp.boundary_word == coding(fp.theta)
+            rho = chain.rho_at(fp.theta)
+            expected = (
+                ""
+                if rho in (0, 1)
+                else coding(fp.theta, abs(scan_witness(fp.theta, rho, chain.sign)[0]))
+            )
+            assert fp.critical_word == expected
+        # endpoint words and the single-flip law
+        start_letter, end_letter = flip_pairs[chain.sign]
+        assert words[0] == start_letter * n
+        assert words[-1] == end_letter * n
+        for pos in range(n):
+            flips = sum(1 for wa, wb in zip(words, words[1:]) if wa[pos] != wb[pos])
+            assert flips == 1, f"index {pos} flips {flips} times"
+        assert curve_count(chain) == len(dec.curves)
     return f"{chains} chains, {curves} curve words matched against direct coding"
 
 
@@ -289,26 +316,36 @@ def check_residue_cover(max_q: int) -> str:
     return f"n ≤ {bound}, {cells} windows covered"
 
 
+def _farey_point_sweep(max_order: int, window: int) -> tuple[int, int]:
+    """`farey_point_tests` on every chain with |i| ≤ max_order: at its
+    Farey points (all three true), at the midpoints between them (all
+    false) and, for window ≥ 1, at every member of F_window in its
+    θ-range (true iff q ≤ |i|).  Returns the (true, false) case counts."""
+    counts = [0, 0]
+    for chain in _chains(max_order):
+        points = [fp.theta for fp in decompose(chain).farey_points]
+        cases = [(theta, True) for theta in points]
+        cases += [((a + b) / 2, False) for a, b in zip(points, points[1:])]
+        if window:
+            cases += [
+                (theta, chain.i != 0 and theta.denominator <= chain.order)
+                for theta in farey_sequence(window, chain.theta_minus, chain.theta_plus)
+            ]
+        for theta, expected in cases:
+            t = farey_point_tests(chain, critical_point(theta, chain.rho_at(theta)))
+            assert (
+                t.is_farey
+                == t.short_word
+                == t.transversal_witness
+                == (t.witness is not None)
+                == expected
+            ), f"{chain} at θ = {theta}: {t}"
+            counts[not expected] += 1
+    return counts[0], counts[1]
+
+
 def check_farey_point_tests(max_q: int) -> str:
-    cap = min(max_q, 8)
-    positives = negatives = 0
-    for n in range(1, cap + 1):
-        for i in (n, -n):
-            js = range(0, n) if i > 0 else range(-n, 0)
-            for j in js:
-                chain = chain_new(i, j)
-                dec = decompose(chain)
-                for fp in dec.farey_points:
-                    zeta = critical_point(fp.theta, chain.rho_at(fp.theta))
-                    t = farey_point_tests(chain, zeta)
-                    assert t.is_farey and t.short_word and t.transversal_witness
-                    positives += 1
-                for a, b in zip(dec.farey_points, dec.farey_points[1:]):
-                    mid = (a.theta + b.theta) / 2
-                    zeta = critical_point(mid, chain.rho_at(mid))
-                    t = farey_point_tests(chain, zeta)
-                    assert not (t.is_farey or t.short_word or t.transversal_witness)
-                    negatives += 1
+    positives, negatives = _farey_point_sweep(min(max_q, 8), 0)
     return f"{positives} Farey points all-true, {negatives} interior points all-false"
 
 
@@ -335,27 +372,64 @@ def check_dominant_minimality(max_q: int) -> str:
     return f"{count} dominant slots equal the brute-force minima"
 
 
-def check_pencil_endpoints(max_q: int) -> str:
-    max_ell = 4
+# the pencils at the corners (θ, ρ) ∈ {0, 1}²
+_CORNER_PENCILS = {(0, 0): ("I",), (1, 0): ("II",), (0, 1): ("IV",), (1, 1): ("III",)}
+
+
+def _pencil_sweep(max_q: int, max_ell: int) -> int:
+    """Every pencil endpoint with 1 ≤ ℓ ≤ max_ell at every ζ with
+    q ≤ max_q, rows and corners included; returns how many.
+
+    At each ζ: the available pencils and a `DomainError` for each missing
+    one.  At each endpoint: its line, the Farey neighbour on its side,
+    the neighbour's matched dominant line or the row escape, the gap to
+    the neighbour (monotone, ≤ 1/(q(ℓ−1))), the bold slope inside, the
+    landing row on the special rows ρ = 1/q, (q−1)/q and at the corners.
+    """
     count = 0
     for p, q in _theta_values(max_q, ends=True):
         theta = Fraction(p, q)
         for rho in _valid_rhos(q):
             zeta = critical_point(theta, rho)
+            available = available_quadrants(zeta)
+            if q == 1:
+                expected = _CORNER_PENCILS[theta, rho]
+            else:
+                expected = {0: ("I", "II"), 1: ("III", "IV")}.get(rho, QUADRANTS)
+            assert available == expected, f"{zeta}: pencils {available}"
+            for sigma in set(QUADRANTS) - set(available):
+                try:
+                    pencil_params(zeta, sigma, 1)
+                except DomainError:
+                    continue
+                raise AssertionError(f"{zeta}: missing pencil {sigma} has parameters")
             up, down = neighbours(zeta)
-            ctx = point_context(zeta) if 0 < rho < 1 else None
-            for sigma in available_quadrants(zeta):
-                target = up if sigma in ("I", "II") else down
-                side = 1 if sigma in ("I", "IV") else 0
-                prev = None
+            slots = [dominant_params(t) if t is not None else None for t in (up, down)]
+            bold = None
+            if 0 < rho < 1:
+                ctx = point_context(zeta)
+                bold = {
+                    "I": ctx.q * (ctx.tau_plus - math.floor(ctx.tau_plus)),
+                    "II": -ctx.q * (-ctx.tau_plus - math.floor(-ctx.tau_plus)),
+                    "III": ctx.q * (ctx.tau_minus - math.floor(ctx.tau_minus)),
+                    "IV": -ctx.q * (-ctx.tau_minus - math.floor(-ctx.tau_minus)),
+                }
+            low_row = q > 1 and rho == Fraction(1, q)
+            high_row = q > 1 and rho == Fraction(q - 1, q)
+            for sigma in available:
+                upper = sigma in ("I", "II")
+                target = up if upper else down
+                t_plus, t_minus = slots[not upper]
+                matched, other = (
+                    (t_plus, t_minus) if sigma in ("I", "III") else (t_minus, t_plus)
+                )
+                prev = prev_gap = None
                 for ell in range(1, max_ell + 1):
-                    i_l, j_l = pencil_params(zeta, sigma, ell)
-                    end = pencil_endpoint(zeta, sigma, ell)
+                    desc = pencil_descriptor(zeta, sigma, ell)
+                    (i_l, j_l), end = desc.chain_params, desc.endpoint
                     assert i_l * end.theta - j_l == end.rho
                     left, right = farey_neighbours(theta, abs(i_l))
-                    assert end.theta == (right if side == 1 else left)
-                    t_plus, t_minus = dominant_params(target)
-                    matched = t_plus if sigma in ("I", "III") else t_minus
+                    assert end.theta == (right if sigma in ("I", "IV") else left)
                     on_matched = (
                         matched is not None
                         and matched[0] * end.theta - matched[1] == end.rho
@@ -367,60 +441,82 @@ def check_pencil_endpoints(max_q: int) -> str:
                             f"{zeta} {sigma} ℓ={ell}: endpoint off the "
                             "neighbour's dominant lines"
                         )
-                        other = t_minus if sigma in ("I", "III") else t_plus
                         assert other is not None
                         assert other[0] * end.theta - other[1] == end.rho, (
                             f"{zeta} {sigma} ℓ={ell}: endpoint off the "
                             "neighbour's dominant lines"
                         )
-                    if prev is not None and ctx is not None:
-                        # consecutive endpoints line up along the bold slope
-                        bold = {
-                            "I": ctx.q * (ctx.tau_plus - math.floor(ctx.tau_plus)),
-                            "II": -ctx.q * (-ctx.tau_plus - math.floor(-ctx.tau_plus)),
-                            "III": ctx.q * (ctx.tau_minus - math.floor(ctx.tau_minus)),
-                            "IV": -ctx.q * (-ctx.tau_minus - math.floor(-ctx.tau_minus)),
-                        }[sigma]
-                        d_theta = end.theta - prev.theta
-                        assert d_theta != 0
-                        assert (end.rho - prev.rho) / d_theta == bold
-                    prev = end
+                    gap = max(abs(end.theta - target.theta), abs(end.rho - target.rho))
+                    if prev is not None:
+                        # monotone, and gap ≤ 1/(q(ℓ−1)) in integers
+                        assert gap <= prev_gap
+                        assert gap.numerator * q * (ell - 1) <= gap.denominator
+                        if bold is not None:
+                            # consecutive endpoints line up along the bold slope
+                            d_theta = end.theta - prev.theta
+                            assert d_theta != 0
+                            assert (end.rho - prev.rho) / d_theta == bold[sigma]
+                    if q == 1:
+                        # a corner's one pencil ends on the opposite row
+                        corner = Fraction(1, ell) if theta == 0 else Fraction(ell, ell + 1)
+                        assert (end.theta, end.rho) == (corner, 1 - rho)
+                    elif low_row and not upper:
+                        assert (end.theta, end.rho) == (Fraction(j_l, i_l), 0)
+                    elif high_row and upper:
+                        assert (end.theta, end.rho) == (Fraction(j_l + 1, i_l), 1)
+                    prev, prev_gap = end, gap
                     count += 1
+    return count
+
+
+def check_pencil_endpoints(max_q: int) -> str:
+    count = _pencil_sweep(max_q, 4)
     return f"{count} endpoints on the matching neighbour dominant lines"
 
 
-def check_pencil_words(max_q: int) -> str:
-    cap = min(max_q, 10)
-    max_ell = 2
+def _pencil_word_sweep(max_q: int, max_ell: int) -> int:
+    """Every pencil word with 0 ≤ ℓ ≤ max_ell at every ζ with q ≤ max_q,
+    rows and corners included, against the switch-first formula and the
+    direct coding beside ζ; returns how many."""
     count = 0
-    for p, q in _theta_values(cap, ends=True):
+    for p, q in _theta_values(max_q, ends=True):
         theta = Fraction(p, q)
         for rho in _valid_rhos(q):
             zeta = critical_point(theta, rho)
             u_plus, u_minus = dominant_words(zeta)
+            assert len(u_plus) + len(u_minus) == q
             if 0 < rho < 1:
-                assert len(u_plus) + len(u_minus) == q
                 assert u_plus + u_minus == code_orbit(theta, rho, Fraction(0), q)
                 assert u_minus + u_plus == code_orbit(theta, rho, rho, q)
+            v_plus, v_minus = (switch_first(u) if u else "" for u in (u_plus, u_minus))
+            formula = {
+                "I": (u_plus, v_minus + u_plus),
+                "II": (u_minus, u_plus + v_minus),
+                "III": (u_plus, u_minus + v_plus),
+                "IV": (u_minus, v_plus + u_minus),
+            }
             for sigma in available_quadrants(zeta):
                 sign = 1 if sigma in ("I", "III") else -1
+                head, period = formula[sigma]
                 for ell in range(0, max_ell + 1):
                     word = pencil_word(zeta, sigma, ell)
                     i_l, j_l = pencil_params(zeta, sigma, ell)
                     assert len(word) == abs(i_l)
+                    assert word == head + period * ell, f"{zeta} {sigma} ℓ={ell}"
                     if ell == 0:
                         sample, s_rho = theta, rho
                     else:
-                        end = pencil_endpoint(zeta, sigma, ell)
-                        sample = Fraction(
-                            theta.numerator + end.theta.numerator,
-                            theta.denominator + end.theta.denominator,
-                        )
+                        sample = _mediant(theta, pencil_endpoint(zeta, sigma, ell).theta)
                         s_rho = i_l * sample - j_l
                     assert word == code_orbit(
                         sample, s_rho, _word_start(sign, s_rho), abs(i_l)
                     )
                     count += 1
+    return count
+
+
+def check_pencil_words(max_q: int) -> str:
+    count = _pencil_word_sweep(min(max_q, 10), 2)
     return f"{count} pencil words equal the direct coding beside the base point"
 
 
@@ -465,10 +561,11 @@ def check_triple_points(max_q: int) -> str:
             if rho == 0 or rho == 1:
                 continue
             zeta = critical_point(theta, rho)
-            report = triple_points(zeta)
+            report, statuses = _report_and_status(zeta)
             assert report.oracle == concurrency_oracle(zeta)
             assert report.mu in (-1, 0, 1)
             assert report.determinant_table.count(0) == 2
+            zeros = {e.signs: e.point for e in report.oracle if e.determinant == 0}
             cf = continued_fraction(theta)
             convergent_thetas = {
                 Fraction(cf.p(cf.n - 1), cf.q(cf.n - 1)),
@@ -476,11 +573,12 @@ def check_triple_points(max_q: int) -> str:
             }
             for pt in report.points:
                 assert pt.location.theta in convergent_thetas
+                assert zeros[pt.sign_triple] == (pt.location.theta, pt.location.rho)
             alt = _alternate_triple_locations(report)
             assert alt == tuple(
                 (pt.location.theta, pt.location.rho) for pt in report.points
             )
-            for status in triple_point_farey_status(zeta):
+            for status in statuses:
                 needed = 1 if report.kind == "I" else 2
                 assert status.farey_count >= needed
             points += 2

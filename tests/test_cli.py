@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from critcurves import ParameterError, cli, triples
+from critcurves import ParameterError, chains, cli, points, switch_first, triples
 
 GOLDEN_DECOMPOSE_7_5 = """\
 L(7,5): rho = 7*theta - (5) for theta in [5/7, 6/7]
@@ -227,6 +227,51 @@ def test_verify_reports_failures(capsys, monkeypatch):
     assert out.splitlines()[-1] == "1 checks, 0 passed"
 
 
+def _wrong_side_endpoint(monkeypatch):
+    endpoint = points._endpoint
+    other_side = {"I": "II", "II": "I", "III": "IV", "IV": "III"}
+    monkeypatch.setattr(
+        points, "_endpoint",
+        lambda zeta, sigma, params: endpoint(zeta, other_side[sigma], params),
+    )
+
+
+def _one_curve_letter_switched(monkeypatch):
+    sweep = chains._sweep
+
+    def faulty(chain, boundaries):
+        for k, (a, b, curve, boundary) in enumerate(sweep(chain, boundaries)):
+            if (chain.i, chain.j, k) == (5, 2, 1):
+                curve = switch_first(curve)
+            yield a, b, curve, boundary
+
+    monkeypatch.setattr(chains, "_sweep", faulty)
+
+
+def _dominant_words_switched(monkeypatch):
+    words = points.dominant_words
+    monkeypatch.setattr(
+        points, "dominant_words",
+        lambda zeta: tuple(switch_first(u) if u else u for u in words(zeta)),
+    )
+
+
+@pytest.mark.parametrize(
+    "plant, suite, name",
+    [
+        (_wrong_side_endpoint, "points", "pencil-endpoints"),
+        (_one_curve_letter_switched, "chains", "decomposition-oracle"),
+        (_dominant_words_switched, "points", "pencil-words"),
+    ],
+)
+def test_verify_catches_planted_faults(monkeypatch, plant, suite, name):
+    from critcurves import verify
+
+    plant(monkeypatch)
+    results = {r.name: r for r in verify.run_suite(suite, 8)}
+    assert not results[name].passed, results[name].detail
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -317,3 +362,49 @@ def test_triples_builds_its_column_once(capsys, monkeypatch):
     code, _, _ = run(capsys, "triples", "3/5", "2/5")
     assert code == 0
     assert len(calls) == 1
+
+
+# `run_suite("all", 12)` as recorded before the checks and the acceptance
+# criteria were merged into shared sweeps.  The benchmark hashes these
+# detail strings into its verify-sweep digest.
+VERIFY_ALL_12 = [
+    ("exact", "farey-adjacency", True, "223 adjacent pairs across F_1..F_12"),
+    ("exact", "cf-conventions", True, "45 fractions, both conventions"),
+    ("exact", "farey-neighbours", True,
+     "235 members matched against full sequences, n ≤ 12"),
+    ("orbit", "coding-periodicity", True, "419 codings doubled"),
+    ("orbit", "brute-word-structure", True,
+     "846 (point, sign) pairs, minimality confirmed"),
+    ("chains", "decomposition-oracle", True,
+     "158 chains, 446 curve words matched against direct coding"),
+    ("chains", "residue-cover", True, "n ≤ 30, 465 windows covered"),
+    ("chains", "farey-point-tests", True,
+     "222 Farey points all-true, 150 interior points all-false"),
+    ("points", "dominant-minimality", True,
+     "844 dominant slots equal the brute-force minima"),
+    ("points", "pencil-endpoints", True,
+     "6000 endpoints on the matching neighbour dominant lines"),
+    ("points", "pencil-words", True,
+     "2604 pencil words equal the direct coding beside the base point"),
+    ("triples", "triple-points", True,
+     "658 triple points cross-checked, convention-independent"),
+    ("net", "net-cardinality", True,
+     "orders 0..40, cardinality n(n+1)+2 and (i, j) ordering"),
+    ("net", "render-determinism", True,
+     "SVG, CSV and JSON byte-stable; JSON round-trips"),
+]
+
+
+def test_verify_contract_is_pinned():
+    import inspect
+
+    from critcurves import verify
+
+    results = verify.run_suite("all", 12)
+    assert [(r.suite, r.name, r.passed, r.detail) for r in results] == VERIFY_ALL_12
+    # the benchmark looks every check up by this name and calls it with
+    # the sweep bound alone
+    for checks in verify._SUITES.values():
+        for name, func in checks:
+            assert getattr(verify, "check_" + name.replace("-", "_")) is func
+            assert list(inspect.signature(func).parameters) == ["max_q"]
