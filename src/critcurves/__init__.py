@@ -35,7 +35,6 @@ from .exact import (
     fractional_part,
     parse_rational,
     rational,
-    standard_continued_fraction,
 )
 from .net import Net, net
 from .orbit import (
@@ -57,7 +56,6 @@ from .points import (
     ApproachStep,
     PencilDescriptor,
     PointContext,
-    all_chain_params,
     approach_sequence,
     available_quadrants,
     dominant_params,
@@ -119,7 +117,6 @@ __all__ = [
     "TriplePoint",
     "TriplePointReport",
     "Word",
-    "all_chain_params",
     "approach_sequence",
     "available_quadrants",
     "brute_force_critical_word",
@@ -162,7 +159,6 @@ __all__ = [
     "scan_witness",
     "segments_csv",
     "signed_witness",
-    "standard_continued_fraction",
     "switch_first",
     "triple_point_farey_status",
     "triple_points",

@@ -38,13 +38,14 @@ from .render import (
     render_triples,
     segments_csv,
 )
-from .triples import _report_and_status
+from .triples import triple_points
 from .verify import SUITE_NAMES, run_suite
 
 
-MAX_WORD_LENGTH = 1 << 20  # letters `word` codes (--len, or q by default)
+MAX_WORD_LENGTH = 1 << 20  # letters: `word` (--len, or q by default), a `pencils` word
 MAX_CHAIN_ORDER = 4096     # |i| for `decompose` and `render decomposition`
 MAX_NET_ORDER = 128        # n for `net` and `render net`
+MAX_PENCIL_DEPTH = 64      # --depth for `pencils` and `render pencils`
 
 
 class _UsageError(Exception):
@@ -203,6 +204,9 @@ def _cmd_pencils(args) -> int:
     zeta = _point_args(args)
     if args.depth < 0:
         raise ParameterError(f"pencil depth must be non-negative, got {args.depth}")
+    _bounded(args.depth, MAX_PENCIL_DEPTH, "pencil depth")
+    # the ℓ-th curve of a pencil codes |i| ≤ (ℓ + 1)·q letters
+    _bounded((args.depth + 1) * zeta.theta.denominator, MAX_WORD_LENGTH, "pencil word length")
     quads = available_quadrants(zeta)
     table: dict[str, list] = {}
     for sigma in quads:
@@ -256,8 +260,8 @@ def _signs_str(signs) -> str:
 
 def _cmd_triples(args) -> int:
     zeta = _point_args(args)
-    report, statuses = _report_and_status(zeta)
-    status = {s.location: s.farey_count for s in statuses}
+    report = triple_points(zeta)
+    status = {s.location: s.farey_count for s in report.farey_status()}
     if args.json:
         doc = {
             "theta": format_rational(zeta.theta),
@@ -357,6 +361,7 @@ def _cmd_render_decomposition(args) -> int:
 
 def _cmd_render_pencils(args) -> int:
     zeta = _point_args(args)
+    _bounded(args.depth, MAX_PENCIL_DEPTH, "pencil depth")
     svg = render_pencils(zeta, depth=args.depth, scale=args.scale)
     return _render_report(args, {args.out: _write_file(args.out, svg)})
 

@@ -133,18 +133,6 @@ def continued_fraction(x: Rational) -> ContinuedFraction:
     return ContinuedFraction(tuple(coeffs), _convergents(tuple(coeffs)))
 
 
-def standard_continued_fraction(x: Rational) -> ContinuedFraction:
-    """Euclidean expansion (last coefficient >= 2 when possible).
-
-    Kept as the alternate convention for representation-independence
-    checks; the rest of the package uses `continued_fraction`.
-    """
-    if not 0 <= x <= 1:
-        raise ParameterError(f"expected a rational in [0, 1], got {x}")
-    coeffs = tuple(_euclid(x))
-    return ContinuedFraction(coeffs, _convergents(coeffs))
-
-
 def farey_bracket(x: Rational, n: int) -> tuple[Rational, Rational]:
     """Neighbours of x in the Farey sequence F_n when x is NOT in F_n.
 

@@ -128,15 +128,6 @@ def neighbours(
     )
 
 
-def all_chain_params(zeta: CriticalPoint, t: int) -> tuple[int, int]:
-    """The t-th solution (i_t, j_t) of i·θ − j = ρ at an interior point."""
-    ctx = point_context(zeta)
-    ru = ctx.r * ctx.u
-    i_t = ru * ctx.q_prime + t * ctx.q
-    j_t = ru * ctx.p_prime + t * ctx.p
-    return i_t, j_t
-
-
 def dominant_params(
     zeta: CriticalPoint,
 ) -> tuple[tuple[int, int] | None, tuple[int, int] | None]:

@@ -304,11 +304,11 @@ def render_triples(zeta: CriticalPoint, scale: int = 560, normalized: bool = Fal
     comparable across base points.
     """
     report = triple_points(zeta)
-    up, down = neighbours(zeta)
     q = zeta.theta.denominator
+    # ζ↓, ζ, ζ↑: the points whose dominant lines `report.column` holds
+    bases = [(zeta.theta, zeta.rho + k * Fraction(1, q)) for k in (-1, 0, 1)]
 
-    marks = [(zeta.theta, zeta.rho), (up.theta, up.rho), (down.theta, down.rho)]
-    marks += [(pt.location.theta, pt.location.rho) for pt in report.points]
+    marks = bases + [(pt.location.theta, pt.location.rho) for pt in report.points]
     xs = sorted(p[0] for p in marks)
     ys = sorted(p[1] for p in marks)
     pad_x = (xs[-1] - xs[0]) * Fraction(3, 10)
@@ -328,15 +328,11 @@ def render_triples(zeta: CriticalPoint, scale: int = 560, normalized: bool = Fal
     frame = _Frame((t_lo[0], t_hi[0]), (t_lo[1], t_hi[1]), scale)
 
     body = []
-    for base, gid, colour in (
-        (down, "down", "#2ca02c"),
-        (zeta, "self", "#1f77b4"),
-        (up, "up", "#d62728"),
+    for lines, gid, colour in zip(
+        report.column, ("down", "self", "up"), ("#2ca02c", "#1f77b4", "#d62728")
     ):
         body.append(f'<g id="dominant-{gid}">')
-        for params in dominant_params(base):
-            if params is None:
-                continue
+        for params in lines:
             clipped = _clip_chain(chain_new(*params), window)
             if clipped is None:
                 continue
@@ -344,9 +340,8 @@ def render_triples(zeta: CriticalPoint, scale: int = 560, normalized: bool = Fal
             body.append(_line(frame, a, b, f'stroke="{colour}" stroke-width="1.1"'))
         body.append("</g>")
     body.append('<g id="critical-points">')
-    for base in (down, zeta, up):
-        pos = transform((base.theta, base.rho))
-        body.append(_circle(frame, pos, 2.6, 'fill="#404040"'))
+    for base in bases:
+        body.append(_circle(frame, transform(base), 2.6, 'fill="#404040"'))
     body.append("</g>")
     body.append('<g id="triple-points">')
     for pt in report.points:

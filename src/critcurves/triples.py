@@ -20,6 +20,11 @@ Each located point is checked on the spot to lie on the three lines of
 its own vanishing triple, so a formula slip cannot propagate silently.
 `concurrency_oracle` intersects the lines of every triple directly; it is
 the reference that `verify` and the tests hold the located points to.
+
+`_column` builds the six lines and the eight determinants, once per
+`triple_points` or `concurrency_oracle` call.  The report keeps the lines
+as `column`: `render_triples` draws them and `report.farey_status()`
+counts the Farey points on them, without building the column again.
 """
 
 from __future__ import annotations
@@ -54,9 +59,14 @@ def psi(mu: int, x: Rational) -> int:
     raise DomainError(f"psi sign must be +1 or -1, got {mu!r}")
 
 
-def _column(zeta: CriticalPoint) -> tuple[PointContext, list]:
-    """The point context of ζ and, for each sign-triple in `SIGN_TRIPLES`
-    order, (signs, its lines (i, j) through ζ↓, ζ, ζ↑, its determinant)."""
+def _lines(column, signs: tuple[int, int, int]) -> tuple[tuple[int, int], ...]:
+    """The line of ζ↓, ζ, ζ↑ that each sign of `signs` picks from `column`."""
+    return tuple(pair[0] if mu == 1 else pair[1] for pair, mu in zip(column, signs))
+
+
+def _column(zeta: CriticalPoint):
+    """The point context of ζ, the (+, −) dominant lines of ζ↓, ζ, ζ↑,
+    and D of each sign-triple in `SIGN_TRIPLES` order."""
     up, down = neighbours(zeta)
     if up is None or down is None:
         raise DomainError(
@@ -64,22 +74,20 @@ def _column(zeta: CriticalPoint) -> tuple[PointContext, list]:
             "structure needs both"
         )
     ctx = point_context(zeta)
-    witnesses = [
+    column = tuple(
         (signed_witness(base, 1), signed_witness(base, -1)) for base in (down, zeta, up)
-    ]
-    table = []
+    )
+    dets = []
     for signs in SIGN_TRIPLES:
-        lines = tuple(
-            pair[0] if mu == 1 else pair[1] for pair, mu in zip(witnesses, signs)
-        )
-        det, rem = divmod(-lines[0][0] + 2 * lines[1][0] - lines[2][0], ctx.q)
+        (i1, _), (i2, _), (i3, _) = _lines(column, signs)
+        det, rem = divmod(-i1 + 2 * i2 - i3, ctx.q)
         if rem:
             raise ConsistencyError(
                 f"determinant {det + Fraction(rem, ctx.q)} is not an integer at "
                 f"({zeta.theta}, {zeta.rho})"
             )
-        table.append((signs, lines, det))
-    return ctx, table
+        dets.append(det)
+    return ctx, column, dets
 
 
 def _mu(ctx: PointContext) -> int:
@@ -88,7 +96,7 @@ def _mu(ctx: PointContext) -> int:
 
 def mu_of(zeta: CriticalPoint) -> int:
     """μ = 2⌊τ⌋ − ⌊τ⁻⌋ − ⌊τ⁺⌋ (always one of −1, 0, +1)."""
-    return _mu(_column(zeta)[0])
+    return _mu(point_context(zeta))
 
 
 @dataclass(frozen=True)
@@ -105,9 +113,10 @@ def concurrency_oracle(zeta: CriticalPoint) -> tuple[ConcurrencyEntry, ...]:
     closed forms: each triple's lines are intersected directly, and
     D = 0 must coincide with concurrency.
     """
+    _, column, dets = _column(zeta)
     entries = []
-    for signs, lines, det in _column(zeta)[1]:
-        (i1, j1), (i2, j2), (i3, j3) = lines
+    for signs, det in zip(SIGN_TRIPLES, dets):
+        (i1, j1), (i2, j2), (i3, j3) = _lines(column, signs)
         if i1 == i2:
             raise ConsistencyError(
                 "dominant lines of ζ and ζ↓ can never be parallel"
@@ -133,16 +142,43 @@ class TriplePoint:
 
 
 @dataclass(frozen=True)
+class TripleFareyStatus:
+    location: CriticalPoint
+    farey_count: int
+
+
+@dataclass(frozen=True)
 class TriplePointReport:
     zeta: CriticalPoint
     mu: int
     kind: str  # "I" or "II"
     points: tuple[TriplePoint, TriplePoint]
     oracle: tuple[ConcurrencyEntry, ...]
+    # the (+, −) dominant lines (i, j) of ζ↓, ζ, ζ↑
+    column: tuple[tuple[tuple[int, int], tuple[int, int]], ...]
 
     @property
     def determinant_table(self) -> tuple[int, ...]:
         return tuple(entry.determinant for entry in self.oracle)
+
+    def farey_status(self) -> tuple[TripleFareyStatus, ...]:
+        """How many of the three concurrent chains have each triple
+        point as a Farey point: at least one for type I, at least two
+        for type II.  Computed on each call."""
+        needed = 1 if self.kind == "I" else 2
+        out = []
+        for pt in self.points:
+            count = sum(
+                farey_point_tests(chain_new(i, j), pt.location).is_farey
+                for i, j in _lines(self.column, pt.sign_triple)
+            )
+            if count < needed:
+                raise ConsistencyError(
+                    f"type {self.kind} point ({pt.location.theta}, {pt.location.rho}) "
+                    f"is a Farey point of only {count} of its three concurrent chains"
+                )
+            out.append(TripleFareyStatus(pt.location, count))
+        return tuple(out)
 
 
 def _chi(ctx, which: int, mu_sign: int) -> tuple[Rational, Rational]:
@@ -163,20 +199,29 @@ def _chi(ctx, which: int, mu_sign: int) -> tuple[Rational, Rational]:
     return Fraction(pd, qd), rho_val
 
 
-def _report(zeta: CriticalPoint, ctx: PointContext, table: list) -> TriplePointReport:
-    """`triple_points` of ζ from the context and table of `_column`."""
-    d_plus = table[0][2]
-    if d_plus not in _PAIRS:
+def triple_points(zeta: CriticalPoint) -> TriplePointReport:
+    """Both triple points of ζ with their closed-form provenance.
+
+    D(+,+,+) of the three positive dominant lines picks the type and
+    the χ pair (see the module docstring).  Each point must lie on the
+    three lines of one of the two vanishing sign-triples, which becomes
+    its `sign_triple`; `oracle` lists every triple's signs, determinant
+    and matched point, and `column` the six lines.  `mu` is the ψ-form
+    2⌊τ⌋ − ⌊τ⁻⌋ − ⌊τ⁺⌋; it equals −D(+,+,+) away from the rows
+    ρ = 1/q, (q−1)/q and can differ on them.
+    """
+    ctx, column, dets = _column(zeta)
+    if dets[0] not in _PAIRS:
         raise ConsistencyError(
-            f"D(+,+,+) = {d_plus} at ({zeta.theta}, {zeta.rho}); expected -1, 0 or 1"
+            f"D(+,+,+) = {dets[0]} at ({zeta.theta}, {zeta.rho}); expected -1, 0 or 1"
         )
-    kind, specs = _PAIRS[d_plus]
+    kind, specs = _PAIRS[dets[0]]
     locations = [_chi(ctx, which, sign) for which, sign in specs]
     if (locations[0][0] != locations[1][0]) != (kind == "I"):
         raise ConsistencyError(
             f"type {kind} dispatch contradicts the locations {locations}"
         )
-    vanishing = [(signs, lines) for signs, lines, det in table if det == 0]
+    vanishing = [signs for signs, det in zip(SIGN_TRIPLES, dets) if det == 0]
     if len(vanishing) != 2:
         raise ConsistencyError(
             f"{len(vanishing)} of 8 sign-triples vanish at "
@@ -187,8 +232,9 @@ def _report(zeta: CriticalPoint, ctx: PointContext, table: list) -> TriplePointR
     for (which, sign), (x, y) in zip(specs, locations):
         on = [
             signs
-            for signs, lines in vanishing
-            if signs not in matched and all(i * x - j == y for i, j in lines)
+            for signs in vanishing
+            if signs not in matched
+            and all(i * x - j == y for i, j in _lines(column, signs))
         ]
         if not on:
             raise ConsistencyError(
@@ -198,57 +244,12 @@ def _report(zeta: CriticalPoint, ctx: PointContext, table: list) -> TriplePointR
         matched[on[0]] = (x, y)
         points.append(TriplePoint(critical_point(x, y), f"chi{which}", sign, on[0]))
     oracle = tuple(
-        ConcurrencyEntry(signs, det, matched.get(signs)) for signs, _, det in table
+        ConcurrencyEntry(signs, det, matched.get(signs))
+        for signs, det in zip(SIGN_TRIPLES, dets)
     )
-    return TriplePointReport(zeta, _mu(ctx), kind, (points[0], points[1]), oracle)
-
-
-def triple_points(zeta: CriticalPoint) -> TriplePointReport:
-    """Both triple points of ζ with their closed-form provenance.
-
-    D(+,+,+) of the three positive dominant lines picks the type and
-    the χ pair (see the module docstring).  Each point must lie on the
-    three lines of one of the two vanishing sign-triples, which becomes
-    its `sign_triple`; `oracle` lists every triple's signs, determinant
-    and matched point.  `mu` is the ψ-form 2⌊τ⌋ − ⌊τ⁻⌋ − ⌊τ⁺⌋; it
-    equals −D(+,+,+) away from the rows ρ = 1/q, (q−1)/q and can differ
-    on them.
-    """
-    return _report(zeta, *_column(zeta))
-
-
-@dataclass(frozen=True)
-class TripleFareyStatus:
-    location: CriticalPoint
-    farey_count: int
-
-
-def _report_and_status(
-    zeta: CriticalPoint,
-) -> tuple[TriplePointReport, tuple[TripleFareyStatus, ...]]:
-    """`triple_points` and `triple_point_farey_status` of ζ from one
-    column."""
-    ctx, table = _column(zeta)
-    report = _report(zeta, ctx, table)
-    lines_of = {signs: lines for signs, lines, _ in table}
-    needed = 1 if report.kind == "I" else 2
-    out = []
-    for pt in report.points:
-        count = sum(
-            farey_point_tests(chain_new(i, j), pt.location).is_farey
-            for i, j in lines_of[pt.sign_triple]
-        )
-        if count < needed:
-            raise ConsistencyError(
-                f"type {report.kind} point ({pt.location.theta}, "
-                f"{pt.location.rho}) is a Farey point of only {count} of its "
-                f"three concurrent chains"
-            )
-        out.append(TripleFareyStatus(pt.location, count))
-    return report, tuple(out)
+    return TriplePointReport(zeta, _mu(ctx), kind, tuple(points), oracle, column)
 
 
 def triple_point_farey_status(zeta: CriticalPoint) -> tuple[TripleFareyStatus, ...]:
-    """How many of the three concurrent chains have the triple point as
-    a Farey point: at least one for type I, at least two for type II."""
-    return _report_and_status(zeta)[1]
+    """`triple_points(zeta).farey_status()`."""
+    return triple_points(zeta).farey_status()

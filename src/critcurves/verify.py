@@ -39,11 +39,13 @@ from . import render as render_mod
 from .chains import chain_new, curve_count, decompose, farey_point_tests, residue_cover
 from .errors import DomainError, ParameterError
 from .exact import (
+    ContinuedFraction,
+    _convergents,
+    _euclid,
     continued_fraction,
     farey_neighbours,
     farey_sequence,
     format_rational,
-    standard_continued_fraction,
 )
 from .net import net
 from .orbit import (
@@ -56,7 +58,6 @@ from .orbit import (
 )
 from .points import (
     QUADRANTS,
-    all_chain_params,
     available_quadrants,
     dominant_params,
     dominant_words,
@@ -67,7 +68,7 @@ from .points import (
     pencil_word,
     point_context,
 )
-from .triples import _report_and_status, concurrency_oracle, psi
+from .triples import concurrency_oracle, psi, triple_points
 
 
 @dataclass(frozen=True)
@@ -111,6 +112,23 @@ def _valid_rhos(q: int):
             for r in range(0, s + 1):
                 out.add(Fraction(r, s))
     return sorted(out)
+
+
+def standard_continued_fraction(x: Fraction) -> ContinuedFraction:
+    """Euclidean expansion of x in [0, 1] (last coefficient ≥ 2 when
+    possible), the convention `continued_fraction` is checked against."""
+    if not 0 <= x <= 1:
+        raise ParameterError(f"expected a rational in [0, 1], got {x}")
+    coeffs = tuple(_euclid(x))
+    return ContinuedFraction(coeffs, _convergents(coeffs))
+
+
+def all_chain_params(zeta, t: int) -> tuple[int, int]:
+    """The t-th solution (i_t, j_t) of i·θ − j = ρ at an interior point,
+    from the point context alone."""
+    ctx = point_context(zeta)
+    ru = ctx.r * ctx.u
+    return ru * ctx.q_prime + t * ctx.q, ru * ctx.p_prime + t * ctx.p
 
 
 def _word_start(sign: int, rho: Fraction) -> Fraction:
@@ -561,9 +579,11 @@ def check_triple_points(max_q: int) -> str:
             if rho == 0 or rho == 1:
                 continue
             zeta = critical_point(theta, rho)
-            report, statuses = _report_and_status(zeta)
+            report = triple_points(zeta)
             assert report.oracle == concurrency_oracle(zeta)
             assert report.mu in (-1, 0, 1)
+            if rho not in (Fraction(1, q), Fraction(q - 1, q)):
+                assert report.mu == -report.determinant_table[0], f"μ ≠ −D(+,+,+) at {zeta}"
             assert report.determinant_table.count(0) == 2
             zeros = {e.signs: e.point for e in report.oracle if e.determinant == 0}
             cf = continued_fraction(theta)
@@ -578,8 +598,8 @@ def check_triple_points(max_q: int) -> str:
             assert alt == tuple(
                 (pt.location.theta, pt.location.rho) for pt in report.points
             )
-            for status in statuses:
-                needed = 1 if report.kind == "I" else 2
+            needed = 1 if report.kind == "I" else 2
+            for status in report.farey_status():
                 assert status.farey_count >= needed
             points += 2
     return f"{points} triple points cross-checked, convention-independent"

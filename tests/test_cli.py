@@ -331,6 +331,9 @@ def test_verify_worker_count():
         ("net", "1000000000"),
         ("render", "net", "1000000000", "--out", "{tmp}/net.svg", "--csv", "{tmp}/net.csv"),
         ("render", "decomposition", "1000000000", "0", "--out", "{tmp}/dec.svg"),
+        ("pencils", "1/7", "1/7", "--depth", "3000"),
+        ("pencils", "1/100000", "1/100000", "--depth", "20"),  # 21·q letters
+        ("render", "pencils", "1/7", "1/7", "--depth", "20000", "--out", "{tmp}/pencils.svg"),
     ],
 )
 def test_oversized_requests_fail_before_building(tmp_path, capsys, argv):
@@ -343,14 +346,24 @@ def test_oversized_requests_fail_before_building(tmp_path, capsys, argv):
 
 
 def test_output_caps_admit_the_documented_sizes():
-    # the tests, `verify` and the benchmark use nets up to n = 100 and
-    # chains up to |i| = 2000
+    # the tests, `verify` and the benchmark use nets up to n = 100,
+    # chains up to |i| = 2000 and pencils up to ℓ = 6 at q < 49
     assert cli.MAX_NET_ORDER >= 100
     assert cli.MAX_CHAIN_ORDER >= 2000
     assert cli.MAX_WORD_LENGTH >= 2000
+    assert cli.MAX_PENCIL_DEPTH >= 6
+    assert (6 + 1) * 48 <= cli.MAX_WORD_LENGTH
 
 
-def test_triples_builds_its_column_once(capsys, monkeypatch):
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("triples", "3/5", "2/5"),
+        ("render", "triples", "3/5", "2/5", "--out", "{tmp}/triples.svg"),
+    ],
+    ids=["triples", "render-triples"],
+)
+def test_triples_builds_its_column_once(tmp_path, capsys, monkeypatch, argv):
     calls = []
     column = triples._column
 
@@ -359,7 +372,7 @@ def test_triples_builds_its_column_once(capsys, monkeypatch):
         return column(zeta)
 
     monkeypatch.setattr(triples, "_column", counting)
-    code, _, _ = run(capsys, "triples", "3/5", "2/5")
+    code, _, _ = run(capsys, *(arg.format(tmp=tmp_path) for arg in argv))
     assert code == 0
     assert len(calls) == 1
 

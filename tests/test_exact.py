@@ -14,8 +14,8 @@ from critcurves import (
     fractional_part,
     parse_rational,
     rational,
-    standard_continued_fraction,
 )
+from critcurves.verify import standard_continued_fraction
 
 unit_fractions = st.fractions(min_value=0, max_value=1, max_denominator=64)
 

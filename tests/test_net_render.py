@@ -158,3 +158,46 @@ def test_golden_digests(capsys):
     for (i, j), digest in DECOMPOSE_JSON_DIGESTS.items():
         assert cli.main(["decompose", str(i), str(j), "--json"]) == 0
         assert _sha256(capsys.readouterr().out) == digest, (i, j)
+
+
+def _points_up_to(max_q: int):
+    """Every critical point (p/q, r/s) with q ≤ max_q and s | q, the
+    rows ρ = 0, 1 and the ends θ = 0, 1 included."""
+    thetas = sorted({F(p, q) for q in range(1, max_q + 1) for p in range(q + 1)})
+    for theta in thetas:
+        q = theta.denominator
+        rhos = sorted({F(r, s) for s in range(1, q + 1) if q % s == 0 for r in range(s + 1)})
+        for rho in rhos:
+            yield theta, rho
+
+
+def _triples_digests(capsys, max_q: int) -> tuple[str, ...]:
+    """SHA-256 over `triples` (text, --json: exit code, stdout, stderr) at
+    every point, and over `render_triples` (plain, normalized) at every
+    interior point."""
+    streams = [hashlib.sha256() for _ in range(4)]
+    for theta, rho in _points_up_to(max_q):
+        args = [f"{theta.numerator}/{theta.denominator}", f"{rho.numerator}/{rho.denominator}"]
+        for stream, extra in zip(streams, ([], ["--json"])):
+            code = cli.main(["triples", *args, *extra])
+            out, err = capsys.readouterr()
+            stream.update(f"{args} {code}\n{out}{err}".encode())
+        if 0 < rho < 1:
+            zeta = critical_point(theta, rho)
+            streams[2].update(render_triples(zeta).encode())
+            streams[3].update(render_triples(zeta, normalized=True).encode())
+    return tuple(stream.hexdigest() for stream in streams)
+
+
+# SHA-256 of the `triples` CLI output and the `render_triples` SVGs at
+# q ≤ 12, recorded before the triple-point report carried its column.
+TRIPLES_DIGESTS_12 = (
+    "57dc8fe99cfe2d6e57a39ff8a44382811c1f0ebc3eba9875d680ce8ecae21402",
+    "1eeb2eafff7615ee19914da893a0f921e4e4cdcf1e8ed6ea664ff4f79ab57f99",
+    "4419751cc9116822b3fd2e73b3e2b1dfd2075e9a55782ebd603dc2df124d5e28",
+    "ec731b8e1f9b6da2d8bf8498846d67e1424bce98fcda3453a7c645d021a80154",
+)
+
+
+def test_triples_golden_digests(capsys):
+    assert _triples_digests(capsys, 12) == TRIPLES_DIGESTS_12

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from critcurves import (
     DomainError,
     ParameterError,
-    all_chain_params,
     approach_sequence,
     available_quadrants,
     chain_new,
@@ -23,6 +22,7 @@ from critcurves import (
     point_context,
 )
 from critcurves import orbit, points
+from critcurves.verify import all_chain_params
 
 CORNERS = [(F(0), F(0)), (F(1), F(0)), (F(0), F(1)), (F(1), F(1))]
 

@@ -10,12 +10,15 @@ from critcurves import (
     ParameterError,
     concurrency_oracle,
     critical_point,
+    dominant_params,
     mu_of,
+    neighbours,
     psi,
+    render_triples,
     triple_point_farey_status,
     triple_points,
 )
-from critcurves import triples
+from critcurves import orbit, triples
 from critcurves.verify import _alternate_triple_locations
 
 
@@ -64,6 +67,38 @@ def test_mu_needs_both_neighbours():
 @given(interior_points())
 def test_mu_range(zeta):
     assert mu_of(zeta) in (-1, 0, 1)
+
+
+def test_mu_builds_no_column(monkeypatch):
+    def no_column(zeta):
+        raise AssertionError(f"mu_of built the triple-point column of {zeta}")
+
+    monkeypatch.setattr(triples, "_column", no_column)
+    assert mu_of(critical_point(F(3, 5), F(2, 5))) == -1
+
+
+@settings(max_examples=50, deadline=None)
+@given(interior_points())
+def test_report_column_holds_the_dominant_lines(zeta):
+    report = triple_points(zeta)
+    up, down = neighbours(zeta)
+    assert report.column == tuple(dominant_params(base) for base in (down, zeta, up))
+    assert report.farey_status() == triple_point_farey_status(zeta)
+
+
+def test_render_triples_draws_the_report_column(monkeypatch):
+    zeta = critical_point(F(3, 5), F(2, 5))
+    calls = []
+    witness = orbit._closed_form_witness
+
+    def counting(theta, rho):
+        calls.append((theta, rho))
+        return witness(theta, rho)
+
+    monkeypatch.setattr(orbit, "_closed_form_witness", counting)
+    render_triples(zeta)
+    # ζ↑ and ζ↓, `point_context`'s check of ζ, and the two triple points
+    assert len(calls) == 5
 
 
 def test_concurrency_oracle_table():
