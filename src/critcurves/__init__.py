@@ -78,7 +78,6 @@ from .render import (
 from .triples import (
     SIGN_TRIPLES,
     ConcurrencyEntry,
-    TripleFareyStatus,
     TriplePoint,
     TriplePointReport,
     concurrency_oracle,
@@ -113,7 +112,6 @@ __all__ = [
     "Rational",
     "SIGN_TRIPLES",
     "SUITE_NAMES",
-    "TripleFareyStatus",
     "TriplePoint",
     "TriplePointReport",
     "Word",

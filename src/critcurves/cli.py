@@ -261,7 +261,6 @@ def _signs_str(signs) -> str:
 def _cmd_triples(args) -> int:
     zeta = _point_args(args)
     report = triple_points(zeta)
-    status = {s.location: s.farey_count for s in report.farey_status()}
     if args.json:
         doc = {
             "theta": format_rational(zeta.theta),
@@ -275,7 +274,7 @@ def _cmd_triples(args) -> int:
                     "chi": pt.chi_kind,
                     "psi": pt.psi_sign,
                     "signs": _signs_str(pt.sign_triple),
-                    "farey_count": status[pt.location],
+                    "farey_count": pt.farey_count,
                 }
                 for pt in report.points
             ],
@@ -292,7 +291,7 @@ def _cmd_triples(args) -> int:
             f"point {_point_str(pt.location.theta, pt.location.rho)} "
             f"{pt.chi_kind} psi={'+' if pt.psi_sign > 0 else '-'} "
             f"signs={_signs_str(pt.sign_triple)} "
-            f"farey_count={status[pt.location]}"
+            f"farey_count={pt.farey_count}"
         )
     dets = " ".join(f"{_signs_str(e.signs)}:{e.determinant}" for e in report.oracle)
     print(f"determinants {dets}")

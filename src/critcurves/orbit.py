@@ -19,6 +19,7 @@ finds the same witnesses by walking the orbit and is the oracle that
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
@@ -74,24 +75,19 @@ def switch_first(word: Word) -> Word:
     return head + word[1:]
 
 
+_RUN = re.compile(r"a{2,}|b{2,}")
+
+
 def format_word(word: Word) -> str:
     """Compact power notation: 'abbbabb' -> 'ab^3ab^2', '' -> 'ε'."""
     if not word:
         return "ε"
-    out = []
-    idx = 0
-    while idx < len(word):
-        run = idx
-        while run < len(word) and word[run] == word[idx]:
-            run += 1
-        count = run - idx
-        out.append(word[idx] if count == 1 else f"{word[idx]}^{count}")
-        idx = run
-    return "".join(out)
+    return _RUN.sub(lambda run: f"{run[0][0]}^{len(run[0])}", word)
 
 
 def parse_word(text: str) -> Word:
-    """Inverse of format_word; also accepts plain 'abb' strings."""
+    """Inverse of format_word; also accepts plain 'abb' strings.
+    Exponents are ASCII digits, as in `parse_rational`."""
     text = text.strip()
     if text in ("", "ε"):
         return ""
@@ -105,7 +101,7 @@ def parse_word(text: str) -> Word:
         if idx < len(text) and text[idx] == "^":
             idx += 1
             start = idx
-            while idx < len(text) and text[idx].isdigit():
+            while idx < len(text) and text[idx] in "0123456789":
                 idx += 1
             if start == idx:
                 raise ParameterError(f"missing exponent in {text!r}")

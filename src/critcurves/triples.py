@@ -21,10 +21,15 @@ its own vanishing triple, so a formula slip cannot propagate silently.
 `concurrency_oracle` intersects the lines of every triple directly; it is
 the reference that `verify` and the tests hold the located points to.
 
+A triple point θ = p/q is a Farey point of a concurrent chain L(i, j)
+exactly when q ≤ |i| (characterization (i) of `farey_point_tests`), so
+each point carries its `farey_count` over its three lines from that
+order test alone: at least 1 for type I, at least 2 for type II.
+`verify` holds every count to all three characterizations.
+
 `_column` builds the six lines and the eight determinants, once per
 `triple_points` or `concurrency_oracle` call.  The report keeps the lines
-as `column`: `render_triples` draws them and `report.farey_status()`
-counts the Farey points on them, without building the column again.
+as `column`, which `render_triples` draws without building it again.
 """
 
 from __future__ import annotations
@@ -34,7 +39,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .chains import chain_new, farey_point_tests
 from .errors import ConsistencyError, DomainError
 from .exact import Rational
 from .orbit import CriticalPoint, critical_point, signed_witness
@@ -139,12 +143,7 @@ class TriplePoint:
     chi_kind: str  # "chi1" or "chi2"
     psi_sign: int
     sign_triple: tuple[int, int, int]
-
-
-@dataclass(frozen=True)
-class TripleFareyStatus:
-    location: CriticalPoint
-    farey_count: int
+    farey_count: int  # how many of the three lines have it as a Farey point
 
 
 @dataclass(frozen=True)
@@ -160,25 +159,6 @@ class TriplePointReport:
     @property
     def determinant_table(self) -> tuple[int, ...]:
         return tuple(entry.determinant for entry in self.oracle)
-
-    def farey_status(self) -> tuple[TripleFareyStatus, ...]:
-        """How many of the three concurrent chains have each triple
-        point as a Farey point: at least one for type I, at least two
-        for type II.  Computed on each call."""
-        needed = 1 if self.kind == "I" else 2
-        out = []
-        for pt in self.points:
-            count = sum(
-                farey_point_tests(chain_new(i, j), pt.location).is_farey
-                for i, j in _lines(self.column, pt.sign_triple)
-            )
-            if count < needed:
-                raise ConsistencyError(
-                    f"type {self.kind} point ({pt.location.theta}, {pt.location.rho}) "
-                    f"is a Farey point of only {count} of its three concurrent chains"
-                )
-            out.append(TripleFareyStatus(pt.location, count))
-        return tuple(out)
 
 
 def _chi(ctx, which: int, mu_sign: int) -> tuple[Rational, Rational]:
@@ -205,7 +185,8 @@ def triple_points(zeta: CriticalPoint) -> TriplePointReport:
     D(+,+,+) of the three positive dominant lines picks the type and
     the χ pair (see the module docstring).  Each point must lie on the
     three lines of one of the two vanishing sign-triples, which becomes
-    its `sign_triple`; `oracle` lists every triple's signs, determinant
+    its `sign_triple`, and counts its Farey lines by the order test into
+    `farey_count`; `oracle` lists every triple's signs, determinant
     and matched point, and `column` the six lines.  `mu` is the ψ-form
     2⌊τ⌋ − ⌊τ⁻⌋ − ⌊τ⁺⌋; it equals −D(+,+,+) away from the rows
     ρ = 1/q, (q−1)/q and can differ on them.
@@ -242,7 +223,13 @@ def triple_points(zeta: CriticalPoint) -> TriplePointReport:
                 f"concurrency points at ({zeta.theta}, {zeta.rho})"
             )
         matched[on[0]] = (x, y)
-        points.append(TriplePoint(critical_point(x, y), f"chi{which}", sign, on[0]))
+        count = sum(x.denominator <= abs(i) for i, _ in _lines(column, on[0]))
+        if count < (1 if kind == "I" else 2):
+            raise ConsistencyError(
+                f"type {kind} point ({x}, {y}) "
+                f"is a Farey point of only {count} of its three concurrent chains"
+            )
+        points.append(TriplePoint(critical_point(x, y), f"chi{which}", sign, on[0], count))
     oracle = tuple(
         ConcurrencyEntry(signs, det, matched.get(signs))
         for signs, det in zip(SIGN_TRIPLES, dets)
@@ -250,6 +237,6 @@ def triple_points(zeta: CriticalPoint) -> TriplePointReport:
     return TriplePointReport(zeta, _mu(ctx), kind, tuple(points), oracle, column)
 
 
-def triple_point_farey_status(zeta: CriticalPoint) -> tuple[TripleFareyStatus, ...]:
-    """`triple_points(zeta).farey_status()`."""
-    return triple_points(zeta).farey_status()
+def triple_point_farey_status(zeta: CriticalPoint) -> tuple[TriplePoint, TriplePoint]:
+    """`triple_points(zeta).points`, each with its `farey_count`."""
+    return triple_points(zeta).points

@@ -31,6 +31,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -96,11 +97,10 @@ def _coprime_pairs(max_q: int):
                 yield p, q
 
 
-def _theta_values(max_q: int, ends: bool = False):
-    """Reduced θ values; with ``ends`` also the integers 0 and 1."""
-    if ends:
-        yield 0, 1
-        yield 1, 1
+def _theta_values(max_q: int):
+    """Reduced θ values as (p, q): 0 and 1, then every p/q in (0, 1)."""
+    yield 0, 1
+    yield 1, 1
     yield from _coprime_pairs(max_q)
 
 
@@ -112,6 +112,15 @@ def _valid_rhos(q: int):
             for r in range(0, s + 1):
                 out.add(Fraction(r, s))
     return sorted(out)
+
+
+def _points(max_q: int):
+    """Every critical point ζ = (p/q, ρ) with q ≤ max_q, rows and corners
+    included, column by column in `_theta_values` order."""
+    for p, q in _theta_values(max_q):
+        theta = Fraction(p, q)
+        for rho in _valid_rhos(q):
+            yield critical_point(theta, rho)
 
 
 def standard_continued_fraction(x: Fraction) -> ContinuedFraction:
@@ -218,13 +227,11 @@ def check_coding_periodicity(max_q: int) -> str:
 
 
 def check_brute_word_structure(max_q: int) -> str:
-    rhos = [Fraction(p, q) for p, q in _theta_values(max_q, ends=True)]
-    count = 0
-    for p, q in _theta_values(max_q, ends=True):
-        theta = Fraction(p, q)
-        # the closed-form criticality test against the orbit scan, at
-        # every rho with denominator <= max_q, critical or not
-        for rho in rhos:
+    values = [Fraction(p, q) for p, q in _theta_values(max_q)]
+    # the closed-form criticality test against the orbit scan, at every
+    # (θ, ρ) with denominators <= max_q, critical or not
+    for theta in values:
+        for rho in values:
             ok, witness = is_critical(theta, rho)
             scanned = scan_witness(theta, rho, 1)
             if 0 < rho < 1:
@@ -232,17 +239,18 @@ def check_brute_word_structure(max_q: int) -> str:
                 assert witness == scanned, f"({theta}, {rho}): {witness} vs scan {scanned}"
             else:
                 assert ok and scanned is not None
-        for rho in _valid_rhos(q):
-            zeta = critical_point(theta, rho)
-            for sign in (1, -1):
-                word, i, j = brute_force_critical_word(zeta, sign)
-                assert i * theta - j == rho
-                assert len(word) == abs(i)
-                if word:
-                    assert word == code_orbit(theta, rho, _word_start(sign, rho), abs(i))
-                # minimality: the orbit scan finds nothing shorter of the same sign
-                assert (i, j) == _oracle_witness(theta, rho, sign), f"{zeta} sign {sign:+d}"
-                count += 1
+    count = 0
+    for zeta in _points(max_q):
+        theta, rho = zeta.theta, zeta.rho
+        for sign in (1, -1):
+            word, i, j = brute_force_critical_word(zeta, sign)
+            assert i * theta - j == rho
+            assert len(word) == abs(i)
+            if word:
+                assert word == code_orbit(theta, rho, _word_start(sign, rho), abs(i))
+            # minimality: the orbit scan finds nothing shorter of the same sign
+            assert (i, j) == _oracle_witness(theta, rho, sign), f"{zeta} sign {sign:+d}"
+            count += 1
     return f"{count} (point, sign) pairs, minimality confirmed"
 
 
@@ -272,8 +280,10 @@ def check_decomposition_oracle(max_q: int) -> str:
     """Every word of every chain with |i| ≤ min(max_q, 12) against direct
     coding: curve words at the midpoint and the mediant of their ends."""
     flip_pairs = {1: ("b", "a"), -1: ("a", "b")}
+    bound = min(max_q, 12)
     chains = curves = 0
-    for chain in _chains(min(max_q, 12)):
+    totals = Counter()
+    for chain in _chains(bound):
         dec = decompose(chain)
         _assert_segment_rows(dec)
         chains += 1
@@ -320,6 +330,12 @@ def check_decomposition_oracle(max_q: int) -> str:
             flips = sum(1 for wa, wb in zip(words, words[1:]) if wa[pos] != wb[pos])
             assert flips == 1, f"index {pos} flips {flips} times"
         assert curve_count(chain) == len(dec.curves)
+        totals[n, chain.sign] += len(dec.curves)
+    # the windows [j/n, (j+1)/n] tile [0, 1], so for either sign the
+    # chains of order n carry |F_n| − 1 = φ(1) + … + φ(n) curves in all
+    phi = _totients(bound)
+    for (n, sign), total in totals.items():
+        assert total == sum(phi[1 : n + 1]), f"L({sign * n}, ·): {total} curves"
     return f"{chains} chains, {curves} curve words matched against direct coding"
 
 
@@ -373,20 +389,17 @@ def check_farey_point_tests(max_q: int) -> str:
 
 def check_dominant_minimality(max_q: int) -> str:
     count = 0
-    for p, q in _theta_values(max_q, ends=True):
-        theta = Fraction(p, q)
-        for rho in _valid_rhos(q):
-            zeta = critical_point(theta, rho)
-            plus, minus = dominant_params(zeta)
-            for sign, slot in ((1, plus), (-1, minus)):
-                if slot is not None:
-                    brute = _oracle_witness(theta, rho, sign)
-                    assert slot == brute, f"{zeta}: {slot} vs brute {brute}"
-                    count += 1
-            if 0 < rho < 1:
-                ctx = point_context(zeta)
-                assert plus == all_chain_params(zeta, ctx.t_plus)
-                assert minus == all_chain_params(zeta, ctx.t_minus)
+    for zeta in _points(max_q):
+        plus, minus = dominant_params(zeta)
+        for sign, slot in ((1, plus), (-1, minus)):
+            if slot is not None:
+                brute = _oracle_witness(zeta.theta, zeta.rho, sign)
+                assert slot == brute, f"{zeta}: {slot} vs brute {brute}"
+                count += 1
+        if 0 < zeta.rho < 1:
+            ctx = point_context(zeta)
+            assert plus == all_chain_params(zeta, ctx.t_plus)
+            assert minus == all_chain_params(zeta, ctx.t_minus)
     return f"{count} dominant slots equal the brute-force minima"
 
 
@@ -405,85 +418,83 @@ def _pencil_sweep(max_q: int, max_ell: int) -> int:
     landing row on the special rows ρ = 1/q, (q−1)/q and at the corners.
     """
     count = 0
-    for p, q in _theta_values(max_q, ends=True):
-        theta = Fraction(p, q)
-        for rho in _valid_rhos(q):
-            zeta = critical_point(theta, rho)
-            available = available_quadrants(zeta)
-            if q == 1:
-                expected = _CORNER_PENCILS[theta, rho]
-            else:
-                expected = {0: ("I", "II"), 1: ("III", "IV")}.get(rho, QUADRANTS)
-            assert available == expected, f"{zeta}: pencils {available}"
-            for sigma in set(QUADRANTS) - set(available):
-                try:
-                    pencil_params(zeta, sigma, 1)
-                except DomainError:
-                    continue
-                raise AssertionError(f"{zeta}: missing pencil {sigma} has parameters")
-            up, down = neighbours(zeta)
-            slots = [dominant_params(t) if t is not None else None for t in (up, down)]
-            bold = None
-            if 0 < rho < 1:
-                ctx = point_context(zeta)
-                bold = {
-                    "I": ctx.q * (ctx.tau_plus - math.floor(ctx.tau_plus)),
-                    "II": -ctx.q * (-ctx.tau_plus - math.floor(-ctx.tau_plus)),
-                    "III": ctx.q * (ctx.tau_minus - math.floor(ctx.tau_minus)),
-                    "IV": -ctx.q * (-ctx.tau_minus - math.floor(-ctx.tau_minus)),
-                }
-            low_row = q > 1 and rho == Fraction(1, q)
-            high_row = q > 1 and rho == Fraction(q - 1, q)
-            for sigma in available:
-                upper = sigma in ("I", "II")
-                target = up if upper else down
-                t_plus, t_minus = slots[not upper]
-                matched, other = (
-                    (t_plus, t_minus) if sigma in ("I", "III") else (t_minus, t_plus)
+    for zeta in _points(max_q):
+        theta, rho, q = zeta.theta, zeta.rho, zeta.theta.denominator
+        available = available_quadrants(zeta)
+        if q == 1:
+            expected = _CORNER_PENCILS[theta, rho]
+        else:
+            expected = {0: ("I", "II"), 1: ("III", "IV")}.get(rho, QUADRANTS)
+        assert available == expected, f"{zeta}: pencils {available}"
+        for sigma in set(QUADRANTS) - set(available):
+            try:
+                pencil_params(zeta, sigma, 1)
+            except DomainError:
+                continue
+            raise AssertionError(f"{zeta}: missing pencil {sigma} has parameters")
+        up, down = neighbours(zeta)
+        slots = [dominant_params(t) if t is not None else None for t in (up, down)]
+        bold = None
+        if 0 < rho < 1:
+            ctx = point_context(zeta)
+            bold = {
+                "I": ctx.q * (ctx.tau_plus - math.floor(ctx.tau_plus)),
+                "II": -ctx.q * (-ctx.tau_plus - math.floor(-ctx.tau_plus)),
+                "III": ctx.q * (ctx.tau_minus - math.floor(ctx.tau_minus)),
+                "IV": -ctx.q * (-ctx.tau_minus - math.floor(-ctx.tau_minus)),
+            }
+        low_row = q > 1 and rho == Fraction(1, q)
+        high_row = q > 1 and rho == Fraction(q - 1, q)
+        for sigma in available:
+            upper = sigma in ("I", "II")
+            target = up if upper else down
+            t_plus, t_minus = slots[not upper]
+            matched, other = (
+                (t_plus, t_minus) if sigma in ("I", "III") else (t_minus, t_plus)
+            )
+            prev = prev_gap = None
+            for ell in range(1, max_ell + 1):
+                desc = pencil_descriptor(zeta, sigma, ell)
+                (i_l, j_l), end = desc.chain_params, desc.endpoint
+                assert i_l * end.theta - j_l == end.rho
+                left, right = farey_neighbours(theta, abs(i_l))
+                assert end.theta == (right if sigma in ("I", "IV") else left)
+                on_matched = (
+                    matched is not None
+                    and matched[0] * end.theta - matched[1] == end.rho
                 )
-                prev = prev_gap = None
-                for ell in range(1, max_ell + 1):
-                    desc = pencil_descriptor(zeta, sigma, ell)
-                    (i_l, j_l), end = desc.chain_params, desc.endpoint
-                    assert i_l * end.theta - j_l == end.rho
-                    left, right = farey_neighbours(theta, abs(i_l))
-                    assert end.theta == (right if sigma in ("I", "IV") else left)
-                    on_matched = (
-                        matched is not None
-                        and matched[0] * end.theta - matched[1] == end.rho
+                if not on_matched:
+                    # endpoints pushed onto a boundary row sit on the
+                    # row itself, the neighbour's other dominant line
+                    assert end.rho in (0, 1), (
+                        f"{zeta} {sigma} ℓ={ell}: endpoint off the "
+                        "neighbour's dominant lines"
                     )
-                    if not on_matched:
-                        # endpoints pushed onto a boundary row sit on the
-                        # row itself, the neighbour's other dominant line
-                        assert end.rho in (0, 1), (
-                            f"{zeta} {sigma} ℓ={ell}: endpoint off the "
-                            "neighbour's dominant lines"
-                        )
-                        assert other is not None
-                        assert other[0] * end.theta - other[1] == end.rho, (
-                            f"{zeta} {sigma} ℓ={ell}: endpoint off the "
-                            "neighbour's dominant lines"
-                        )
-                    gap = max(abs(end.theta - target.theta), abs(end.rho - target.rho))
-                    if prev is not None:
-                        # monotone, and gap ≤ 1/(q(ℓ−1)) in integers
-                        assert gap <= prev_gap
-                        assert gap.numerator * q * (ell - 1) <= gap.denominator
-                        if bold is not None:
-                            # consecutive endpoints line up along the bold slope
-                            d_theta = end.theta - prev.theta
-                            assert d_theta != 0
-                            assert (end.rho - prev.rho) / d_theta == bold[sigma]
-                    if q == 1:
-                        # a corner's one pencil ends on the opposite row
-                        corner = Fraction(1, ell) if theta == 0 else Fraction(ell, ell + 1)
-                        assert (end.theta, end.rho) == (corner, 1 - rho)
-                    elif low_row and not upper:
-                        assert (end.theta, end.rho) == (Fraction(j_l, i_l), 0)
-                    elif high_row and upper:
-                        assert (end.theta, end.rho) == (Fraction(j_l + 1, i_l), 1)
-                    prev, prev_gap = end, gap
-                    count += 1
+                    assert other is not None
+                    assert other[0] * end.theta - other[1] == end.rho, (
+                        f"{zeta} {sigma} ℓ={ell}: endpoint off the "
+                        "neighbour's dominant lines"
+                    )
+                gap = max(abs(end.theta - target.theta), abs(end.rho - target.rho))
+                if prev is not None:
+                    # monotone, and gap ≤ 1/(q(ℓ−1)) in integers
+                    assert gap <= prev_gap
+                    assert gap.numerator * q * (ell - 1) <= gap.denominator
+                    if bold is not None:
+                        # consecutive endpoints line up along the bold slope
+                        d_theta = end.theta - prev.theta
+                        assert d_theta != 0
+                        assert (end.rho - prev.rho) / d_theta == bold[sigma]
+                if q == 1:
+                    # a corner's one pencil ends on the opposite row
+                    corner = Fraction(1, ell) if theta == 0 else Fraction(ell, ell + 1)
+                    assert (end.theta, end.rho) == (corner, 1 - rho)
+                elif low_row and not upper:
+                    assert (end.theta, end.rho) == (Fraction(j_l, i_l), 0)
+                elif high_row and upper:
+                    assert (end.theta, end.rho) == (Fraction(j_l + 1, i_l), 1)
+                prev, prev_gap = end, gap
+                count += 1
     return count
 
 
@@ -497,39 +508,37 @@ def _pencil_word_sweep(max_q: int, max_ell: int) -> int:
     rows and corners included, against the switch-first formula and the
     direct coding beside ζ; returns how many."""
     count = 0
-    for p, q in _theta_values(max_q, ends=True):
-        theta = Fraction(p, q)
-        for rho in _valid_rhos(q):
-            zeta = critical_point(theta, rho)
-            u_plus, u_minus = dominant_words(zeta)
-            assert len(u_plus) + len(u_minus) == q
-            if 0 < rho < 1:
-                assert u_plus + u_minus == code_orbit(theta, rho, Fraction(0), q)
-                assert u_minus + u_plus == code_orbit(theta, rho, rho, q)
-            v_plus, v_minus = (switch_first(u) if u else "" for u in (u_plus, u_minus))
-            formula = {
-                "I": (u_plus, v_minus + u_plus),
-                "II": (u_minus, u_plus + v_minus),
-                "III": (u_plus, u_minus + v_plus),
-                "IV": (u_minus, v_plus + u_minus),
-            }
-            for sigma in available_quadrants(zeta):
-                sign = 1 if sigma in ("I", "III") else -1
-                head, period = formula[sigma]
-                for ell in range(0, max_ell + 1):
-                    word = pencil_word(zeta, sigma, ell)
-                    i_l, j_l = pencil_params(zeta, sigma, ell)
-                    assert len(word) == abs(i_l)
-                    assert word == head + period * ell, f"{zeta} {sigma} ℓ={ell}"
-                    if ell == 0:
-                        sample, s_rho = theta, rho
-                    else:
-                        sample = _mediant(theta, pencil_endpoint(zeta, sigma, ell).theta)
-                        s_rho = i_l * sample - j_l
-                    assert word == code_orbit(
-                        sample, s_rho, _word_start(sign, s_rho), abs(i_l)
-                    )
-                    count += 1
+    for zeta in _points(max_q):
+        theta, rho, q = zeta.theta, zeta.rho, zeta.theta.denominator
+        u_plus, u_minus = dominant_words(zeta)
+        assert len(u_plus) + len(u_minus) == q
+        if 0 < rho < 1:
+            assert u_plus + u_minus == code_orbit(theta, rho, Fraction(0), q)
+            assert u_minus + u_plus == code_orbit(theta, rho, rho, q)
+        v_plus, v_minus = (switch_first(u) if u else "" for u in (u_plus, u_minus))
+        formula = {
+            "I": (u_plus, v_minus + u_plus),
+            "II": (u_minus, u_plus + v_minus),
+            "III": (u_plus, u_minus + v_plus),
+            "IV": (u_minus, v_plus + u_minus),
+        }
+        for sigma in available_quadrants(zeta):
+            sign = 1 if sigma in ("I", "III") else -1
+            head, period = formula[sigma]
+            for ell in range(0, max_ell + 1):
+                word = pencil_word(zeta, sigma, ell)
+                i_l, j_l = pencil_params(zeta, sigma, ell)
+                assert len(word) == abs(i_l)
+                assert word == head + period * ell, f"{zeta} {sigma} ℓ={ell}"
+                if ell == 0:
+                    sample, s_rho = theta, rho
+                else:
+                    sample = _mediant(theta, pencil_endpoint(zeta, sigma, ell).theta)
+                    s_rho = i_l * sample - j_l
+                assert word == code_orbit(
+                    sample, s_rho, _word_start(sign, s_rho), abs(i_l)
+                )
+                count += 1
     return count
 
 
@@ -573,35 +582,40 @@ def _alternate_triple_locations(report) -> tuple[tuple[Fraction, Fraction], ...]
 
 def check_triple_points(max_q: int) -> str:
     points = 0
-    for p, q in _coprime_pairs(max_q):
-        theta = Fraction(p, q)
-        for rho in _valid_rhos(q):
-            if rho == 0 or rho == 1:
-                continue
-            zeta = critical_point(theta, rho)
-            report = triple_points(zeta)
-            assert report.oracle == concurrency_oracle(zeta)
-            assert report.mu in (-1, 0, 1)
-            if rho not in (Fraction(1, q), Fraction(q - 1, q)):
-                assert report.mu == -report.determinant_table[0], f"μ ≠ −D(+,+,+) at {zeta}"
-            assert report.determinant_table.count(0) == 2
-            zeros = {e.signs: e.point for e in report.oracle if e.determinant == 0}
-            cf = continued_fraction(theta)
-            convergent_thetas = {
-                Fraction(cf.p(cf.n - 1), cf.q(cf.n - 1)),
-                Fraction(cf.p(cf.n - 2), cf.q(cf.n - 2)),
-            }
-            for pt in report.points:
-                assert pt.location.theta in convergent_thetas
-                assert zeros[pt.sign_triple] == (pt.location.theta, pt.location.rho)
-            alt = _alternate_triple_locations(report)
-            assert alt == tuple(
-                (pt.location.theta, pt.location.rho) for pt in report.points
+    for zeta in _points(max_q):
+        theta, rho, q = zeta.theta, zeta.rho, zeta.theta.denominator
+        if rho == 0 or rho == 1:
+            continue
+        report = triple_points(zeta)
+        assert report.oracle == concurrency_oracle(zeta)
+        assert report.mu in (-1, 0, 1)
+        if rho not in (Fraction(1, q), Fraction(q - 1, q)):
+            assert report.mu == -report.determinant_table[0], f"μ ≠ −D(+,+,+) at {zeta}"
+        assert report.determinant_table.count(0) == 2
+        zeros = {e.signs: e.point for e in report.oracle if e.determinant == 0}
+        cf = continued_fraction(theta)
+        convergent_thetas = {
+            Fraction(cf.p(cf.n - 1), cf.q(cf.n - 1)),
+            Fraction(cf.p(cf.n - 2), cf.q(cf.n - 2)),
+        }
+        needed = 1 if report.kind == "I" else 2
+        for pt in report.points:
+            assert pt.location.theta in convergent_thetas
+            assert zeros[pt.sign_triple] == (pt.location.theta, pt.location.rho)
+            # the order-test count against all three characterizations
+            lines = (
+                pair[0] if mu == 1 else pair[1]
+                for pair, mu in zip(report.column, pt.sign_triple)
             )
-            needed = 1 if report.kind == "I" else 2
-            for status in report.farey_status():
-                assert status.farey_count >= needed
-            points += 2
+            count = sum(
+                farey_point_tests(chain_new(i, j), pt.location).is_farey for i, j in lines
+            )
+            assert pt.farey_count == count >= needed, f"{zeta}: {pt}"
+        alt = _alternate_triple_locations(report)
+        assert alt == tuple(
+            (pt.location.theta, pt.location.rho) for pt in report.points
+        )
+        points += 2
     return f"{points} triple points cross-checked, convention-independent"
 
 

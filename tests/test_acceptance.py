@@ -150,9 +150,13 @@ def test_criterion_09_triple_farey_floor():
 def test_criterion_10_mean_curve_count():
     t0 = time.perf_counter()
     n = 500
-    total = sum(curve_count(chain_new(n, j)) for j in range(n))
-    total += sum(curve_count(chain_new(-n, j)) for j in range(-n, 0))
-    mean = total / (2 * n)
+    plus = sum(curve_count(chain_new(n, j)) for j in range(n))
+    minus = sum(curve_count(chain_new(-n, j)) for j in range(-n, 0))
+    # exact: the windows [j/n, (j+1)/n] tile [0, 1], so either sign's
+    # chains carry |F_n| − 1 = φ(1) + … + φ(n) curves
+    phi_sum = sum(math.gcd(p, q) == 1 for q in range(1, n + 1) for p in range(1, q + 1))
+    assert plus == minus == phi_sum, (plus, minus, phi_sum)
+    mean = (plus + minus) / (2 * n)
     expected = 3 * n / math.pi**2
     assert abs(mean - expected) <= 0.05 * expected, (mean, expected)
     _report(10, time.perf_counter() - t0, 30.0,

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from fractions import Fraction
 
@@ -178,6 +179,16 @@ def test_curve_count_lists_no_members():
         tracemalloc.stop()
     assert count == 33333
     assert peak < 64 * 1024
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 12, 50, 97, 100])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_curve_counts_of_an_order_sum_to_the_farey_size(n, sign):
+    # the windows [j/n, (j+1)/n] tile [0, 1], so the chains of one order
+    # and sign carry |F_n| − 1 = φ(1) + … + φ(n) curves in all
+    phi_sum = sum(math.gcd(p, q) == 1 for q in range(1, n + 1) for p in range(1, q + 1))
+    js = range(n) if sign > 0 else range(-n, 0)
+    assert sum(curve_count(chain_new(sign * n, j)) for j in js) == phi_sum
 
 
 @given(small_chains())

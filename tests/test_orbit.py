@@ -54,6 +54,7 @@ def test_format_word_power_notation():
     assert format_word("aaaaaaa") == "a^7"
     assert format_word("ab") == "ab"
     assert format_word("") == "ε"
+    assert format_word("a" * 10**6 + "b") == "a^1000000b"
 
 
 @pytest.mark.parametrize("text,word", [("ab^3ab^2", "abbbabb"), ("ε", ""), ("", ""), ("abb", "abb")])
@@ -66,6 +67,11 @@ def test_parse_word_rejects_garbage():
         parse_word("abc")
     with pytest.raises(ParameterError):
         parse_word("a^")
+    # exponents are ASCII: no superscript or Arabic-Indic digits
+    with pytest.raises(ParameterError):
+        parse_word("a^²")
+    with pytest.raises(ParameterError):
+        parse_word("a^٣")
 
 
 @given(st.text(alphabet="ab", max_size=40))

@@ -1,3 +1,5 @@
+import dataclasses
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -18,7 +20,7 @@ from critcurves import (
     triple_point_farey_status,
     triple_points,
 )
-from critcurves import orbit, triples
+from critcurves import chains, cli, orbit, triples, verify
 from critcurves.verify import _alternate_triple_locations
 
 
@@ -83,7 +85,42 @@ def test_report_column_holds_the_dominant_lines(zeta):
     report = triple_points(zeta)
     up, down = neighbours(zeta)
     assert report.column == tuple(dominant_params(base) for base in (down, zeta, up))
-    assert report.farey_status() == triple_point_farey_status(zeta)
+    assert report.points == triple_point_farey_status(zeta)
+
+
+def test_triple_queries_call_no_farey_point_oracle(tmp_path, capsys, monkeypatch):
+    calls = []
+    oracle = chains.farey_point_tests
+
+    def counting(chain, zeta):
+        calls.append((chain, zeta))
+        return oracle(chain, zeta)
+
+    # every binding of the oracle in the package, whichever module holds it
+    for name, module in list(sys.modules.items()):
+        if name.startswith("critcurves") and getattr(module, "farey_point_tests", None) is oracle:
+            monkeypatch.setattr(module, "farey_point_tests", counting)
+    zeta = critical_point(F(3, 5), F(2, 5))
+    triple_points(zeta)
+    triple_point_farey_status(zeta)
+    assert cli.main(["triples", "3/5", "2/5"]) == 0
+    assert cli.main(["render", "triples", "3/5", "2/5", "--out", str(tmp_path / "t.svg")]) == 0
+    capsys.readouterr()
+    assert calls == []
+
+
+def test_check_triple_points_catches_a_wrong_farey_count(monkeypatch):
+    right = verify.triple_points
+
+    def off_by_one(zeta):
+        report = right(zeta)
+        first, second = report.points
+        first = dataclasses.replace(first, farey_count=first.farey_count + 1)
+        return dataclasses.replace(report, points=(first, second))
+
+    monkeypatch.setattr(verify, "triple_points", off_by_one)
+    with pytest.raises(AssertionError, match="farey_count="):
+        verify.check_triple_points(6)
 
 
 def test_render_triples_draws_the_report_column(monkeypatch):
@@ -221,9 +258,7 @@ def test_triple_points_golden(theta, rho):
     ]
     assert got == want["points"]
     assert report.determinant_table == want["dets"]
-    status = triple_point_farey_status(critical_point(theta, rho))
-    assert [s.farey_count for s in status] == want["farey"]
-    assert [s.location for s in status] == [pt.location for pt in report.points]
+    assert [pt.farey_count for pt in report.points] == want["farey"]
 
 
 def test_triple_points_reject_rows():
