@@ -6,9 +6,9 @@ lines of critical parameter pairs (chains), their Farey decomposition
 into curves carrying symbolic words, the pencils of chains through a
 rational critical point, and the triple points where dominant lines of
 neighbouring critical points meet — everything over exact fractions.
-The constructions use closed forms; their brute-force oracles (orbit
-scans such as `scan_witness`, direct coding, determinant geometry) are
-run against them by `critcurves verify` and the tests.
+The constructions use closed forms.  Their brute-force oracles (orbit
+scans, residue covers, determinant geometry) live in `critcurves.oracles`,
+outside `__all__`; only `critcurves verify` and the tests run them.
 """
 
 from .chains import (
@@ -16,12 +16,9 @@ from .chains import (
     ChainDecomposition,
     CurveSegment,
     FareyPoint,
-    FareyPointTests,
     chain_new,
     curve_count,
     decompose,
-    farey_point_tests,
-    residue_cover,
 )
 from .errors import ConsistencyError, CriticalityError, DomainError, ParameterError
 from .exact import (
@@ -32,7 +29,6 @@ from .exact import (
     farey_neighbours,
     farey_sequence,
     format_rational,
-    fractional_part,
     parse_rational,
     rational,
 )
@@ -46,10 +42,8 @@ from .orbit import (
     format_word,
     is_critical,
     parse_word,
-    scan_witness,
     signed_witness,
     switch_first,
-    word_sign,
 )
 from .points import (
     QUADRANTS,
@@ -80,7 +74,6 @@ from .triples import (
     ConcurrencyEntry,
     TriplePoint,
     TriplePointReport,
-    concurrency_oracle,
     mu_of,
     psi,
     triple_point_farey_status,
@@ -103,7 +96,6 @@ __all__ = [
     "CurveSegment",
     "DomainError",
     "FareyPoint",
-    "FareyPointTests",
     "Net",
     "ParameterError",
     "PencilDescriptor",
@@ -120,7 +112,6 @@ __all__ = [
     "brute_force_critical_word",
     "chain_new",
     "code_orbit",
-    "concurrency_oracle",
     "continued_fraction",
     "critical_point",
     "curve_count",
@@ -130,11 +121,9 @@ __all__ = [
     "dominant_words",
     "farey_bracket",
     "farey_neighbours",
-    "farey_point_tests",
     "farey_sequence",
     "format_rational",
     "format_word",
-    "fractional_part",
     "is_critical",
     "mu_of",
     "neighbours",
@@ -152,14 +141,11 @@ __all__ = [
     "render_net",
     "render_pencils",
     "render_triples",
-    "residue_cover",
     "run_suite",
-    "scan_witness",
     "segments_csv",
     "signed_witness",
     "switch_first",
     "triple_point_farey_status",
     "triple_points",
-    "word_sign",
     "__version__",
 ]

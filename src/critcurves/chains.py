@@ -14,7 +14,7 @@ Farey fractions as integer pairs (p, q) and holds the word in a
 word[start::q] = a…a; a position that would flip twice raises
 `ConsistencyError`.  `decompose` builds `Fraction`s only for its public
 fields, and the CSV rows of `render.segment_rows` come straight from the
-pairs and the curve words.
+pairs and the curve words.  `oracles` holds the brute-force checks.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ConsistencyError, DomainError, ParameterError
-from .exact import Rational, _farey_pairs, farey_sequence
+from .errors import ConsistencyError, ParameterError
+from .exact import Rational, _farey_pairs
 from .orbit import CriticalPoint, Word, brute_force_critical_word
 
 
@@ -180,95 +180,3 @@ def curve_count(chain: Chain) -> int:
     if chain.i == 0:
         return 1
     return sum(1 for _ in _farey_pairs(chain.order, chain.theta_minus, chain.theta_plus)) - 1
-
-
-def residue_cover(n: int, m: int) -> dict[int, Rational]:
-    """Witness map for the flip-congruence corollary on the chain L_{n,m}.
-
-    For every fraction p/q of F_n in [m/n, (m+1)/n] the classes
-    x ≡ 0 and x ≡ n (mod q) are solved over 0..n−1.  Together they cover
-    every residue, and each non-zero residue comes from exactly one
-    congruence; 0 satisfies x ≡ 0 for every q and is assigned to the
-    left endpoint.  Returns {residue: producing fraction}.
-    """
-    if n <= 0:
-        raise ParameterError("n must be positive")
-    if not 0 <= m < n:
-        raise ParameterError(f"m = {m} outside 0..{n - 1}")
-    lo, hi = Fraction(m, n), Fraction(m + 1, n)
-    cover: dict[int, Rational] = {0: lo}
-    for frac in farey_sequence(n, lo, hi):
-        q = frac.denominator
-        for residue_class in {0, n % q}:
-            first = residue_class if residue_class else q
-            for x in range(first, n, q):
-                if x in cover:
-                    raise ConsistencyError(
-                        f"residue {x} produced by both {cover[x]} and {frac}"
-                    )
-                cover[x] = frac
-    if set(cover) != set(range(n)):
-        missing = sorted(set(range(n)) - set(cover))
-        raise ConsistencyError(f"residues {missing} not covered for (n={n}, m={m})")
-    return cover
-
-
-@dataclass(frozen=True)
-class FareyPointTests:
-    is_farey: bool
-    short_word: bool
-    transversal_witness: bool
-    witness: tuple[int, int] | None
-
-
-def farey_point_tests(chain: Chain, zeta: CriticalPoint) -> FareyPointTests:
-    """The three equivalent characterizations of a Farey point of a chain.
-
-    (i)   membership in the decomposition's Farey points, i.e. θ ∈ F_{|i|}
-          (q ≤ |i|; ζ is already known to lie in the chain's θ-range);
-    (ii)  the critical word in the chain's sign is shorter than |i|;
-    (iii) a strictly smaller same-sign chain through ζ exists for which
-          ζ is not a Farey point — witness (i′, j′) with c = ⌊|i|/q⌋,
-          i′ = i − sign(i)·c·q, j′ = j − sign(i)·c·p.
-
-    The booleans are computed independently and must agree; i′ = 0
-    counts as either sign since the empty word is both.
-    """
-    if not chain.contains(zeta):
-        raise DomainError(f"({zeta.theta}, {zeta.rho}) does not lie on {chain}")
-    theta, rho = zeta.theta, zeta.rho
-
-    is_farey = theta.denominator <= chain.order
-
-    if rho == 0 or rho == 1:
-        word_len = 0  # empty centre: the critical word is ε in both signs
-    else:
-        word_len = len(brute_force_critical_word(zeta, chain.sign)[0])
-    short_word = word_len < chain.order
-
-    witness = None
-    transversal = False
-    if chain.i != 0:
-        p, q = theta.numerator, theta.denominator
-        s = chain.sign
-        c = chain.order // q
-        i_prime = chain.i - s * c * q
-        j_prime = chain.j - s * c * p
-        same_sign = i_prime == 0 or (i_prime > 0) == (s > 0)
-        if abs(i_prime) < chain.order and same_sign and _j_range_ok(i_prime, j_prime):
-            smaller = chain_new(i_prime, j_prime)
-            if smaller.contains(zeta):
-                # ζ is a Farey point of the smaller chain iff θ belongs
-                # to F_{|i′|}; horizontal chains have no Farey points
-                not_farey_there = i_prime == 0 or q > abs(i_prime)
-                if not_farey_there:
-                    transversal = True
-                    witness = (i_prime, j_prime)
-
-    if not (is_farey == short_word == transversal):
-        raise ConsistencyError(
-            f"Farey-point tests disagree on {chain} at ({theta}, {rho}): "
-            f"membership={is_farey}, short word={short_word}, "
-            f"transversal={transversal}"
-        )
-    return FareyPointTests(is_farey, short_word, transversal, witness)

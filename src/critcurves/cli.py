@@ -44,8 +44,10 @@ from .verify import SUITE_NAMES, run_suite
 
 MAX_WORD_LENGTH = 1 << 20  # letters: `word` (--len, or q by default), a `pencils` word
 MAX_CHAIN_ORDER = 4096     # |i| for `decompose` and `render decomposition`
+MAX_COUNT_ORDER = 1 << 22  # |i| for `chain`, which enumerates F_|i| to count
 MAX_NET_ORDER = 128        # n for `net` and `render net`
 MAX_PENCIL_DEPTH = 64      # --depth for `pencils` and `render pencils`
+MAX_PENCIL_LETTERS = 1 << 23  # letters in the whole `pencils` table
 
 
 class _UsageError(Exception):
@@ -122,6 +124,7 @@ def _cmd_word(args) -> int:
 
 
 def _cmd_chain(args) -> int:
+    _bounded(abs(args.i), MAX_COUNT_ORDER, "chain order")
     chain = chain_new(args.i, args.j)
     curves = curve_count(chain)
     # a chain of order >= 1 has one Farey point more than curves; the
@@ -205,8 +208,10 @@ def _cmd_pencils(args) -> int:
     if args.depth < 0:
         raise ParameterError(f"pencil depth must be non-negative, got {args.depth}")
     _bounded(args.depth, MAX_PENCIL_DEPTH, "pencil depth")
-    # the ℓ-th curve of a pencil codes |i| ≤ (ℓ + 1)·q letters
-    _bounded((args.depth + 1) * zeta.theta.denominator, MAX_WORD_LENGTH, "pencil word length")
+    # a pencil's ℓ-th word codes ≤ (ℓ + 1)·q letters, the four ℓ-th words 2(2ℓ + 1)·q
+    q = zeta.theta.denominator
+    _bounded((args.depth + 1) * q, MAX_WORD_LENGTH, "pencil word length")
+    _bounded(2 * q * (args.depth + 1) ** 2, MAX_PENCIL_LETTERS, "pencil table letters")
     quads = available_quadrants(zeta)
     table: dict[str, list] = {}
     for sigma in quads:

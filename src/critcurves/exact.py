@@ -47,11 +47,6 @@ def format_rational(x: Rational) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def fractional_part(x: Rational) -> Rational:
-    """{x} = x - floor(x), always in [0, 1)."""
-    return x - (x.numerator // x.denominator)
-
-
 @dataclass(frozen=True)
 class ContinuedFraction:
     """Continued fraction [a0; a1, ..., an] of a rational in [0, 1].

@@ -12,9 +12,8 @@ is critical iff s | q, and the minimal positive size is
 (r*(q/s)*p^-1) mod q, or q when that residue is 0.  A `CriticalPoint`
 validates itself with it once, on construction, and carries the
 witness; `signed_witness` reads both signed slots off it and
-`brute_force_critical_word` codes the centre of one.  `scan_witness`
-finds the same witnesses by walking the orbit and is the oracle that
-`verify` and the tests compare them against.
+`brute_force_critical_word` codes the centre of one.  The orbit-walking
+oracle for the witnesses, `scan_witness`, lives in `oracles`.
 """
 
 from __future__ import annotations
@@ -37,8 +36,8 @@ _ZERO = Fraction(0)
 class CriticalPoint:
     """A critical point; constructing one runs `is_critical` once and
     keeps its witness, which equality, hashing and repr ignore.  Raises
-    `ParameterError` outside the unit square, `CriticalityError` when
-    the point is not critical."""
+    `ParameterError` unless θ and ρ are `int` or `Fraction` in the unit
+    square, `CriticalityError` when the point is not critical."""
 
     theta: Rational
     rho: Rational
@@ -58,14 +57,6 @@ def critical_point(theta: Rational, rho: Rational) -> CriticalPoint:
     """The critical point (theta, rho); the type validates itself, so
     this raises exactly when `CriticalPoint(theta, rho)` does."""
     return CriticalPoint(theta, rho)
-
-
-def word_sign(word: Word) -> int:
-    """+1 for a-initial words, -1 for b-initial; 0 for the empty word,
-    which counts as both signs."""
-    if not word:
-        return 0
-    return 1 if word[0] == "a" else -1
 
 
 def switch_first(word: Word) -> Word:
@@ -160,7 +151,11 @@ def is_critical(theta: Rational, rho: Rational) -> tuple[bool, tuple[int, int] |
 
     rho = 0 and rho = 1 carry the trivial solutions (0, 0) and (0, -1);
     otherwise the witness is the minimal i >= 1, from the closed form.
+    Raises `ParameterError` unless theta and rho are `int` or `Fraction`.
     """
+    if not isinstance(theta, (int, Fraction)) or not isinstance(rho, (int, Fraction)):
+        kinds = f"{type(theta).__name__} and {type(rho).__name__}"
+        raise ParameterError(f"theta and rho must be int or Fraction, got {kinds}")
     if not 0 <= theta <= 1 or not 0 <= rho <= 1:
         raise ParameterError("theta and rho must lie in [0, 1]")
     if rho == 0:
@@ -169,33 +164,6 @@ def is_critical(theta: Rational, rho: Rational) -> tuple[bool, tuple[int, int] |
         return True, (0, -1)
     witness = _closed_form_witness(theta, rho)
     return witness is not None, witness
-
-
-def scan_witness(theta: Rational, rho: Rational, sign: int) -> tuple[int, int] | None:
-    """Oracle for the closed form: the solution (i, j) of
-    i*theta = j + rho with |i| >= 1 minimal among those of the given
-    sign, or None, found by walking the orbit of 0 forwards (sign +1) or
-    backwards (sign -1) for up to q steps, until it lands on rho.
-
-    The walk runs over integers scaled by the common denominator, like
-    `code_orbit`, and assumes nothing about which rho can be hit.
-    """
-    if sign not in (1, -1):
-        raise ParameterError(f"sign must be +1 or -1, got {sign!r}")
-    if not 0 <= theta <= 1 or not 0 <= rho <= 1:
-        raise ParameterError("theta and rho must lie in [0, 1]")
-    q = theta.denominator
-    den = lcm(q, rho.denominator)
-    step = theta.numerator * (den // q)
-    cut = rho.numerator * (den // rho.denominator)
-    target = cut % den
-    x = 0
-    for size in range(1, q + 1):
-        x = (x + sign * step) % den
-        if x == target:
-            i = sign * size
-            return i, (i * step - cut) // den
-    return None
 
 
 def signed_witness(zeta: CriticalPoint, sign: int) -> tuple[int, int]:

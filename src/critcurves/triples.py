@@ -18,18 +18,18 @@ points have closed forms χ⁽¹⁾_±/χ⁽²⁾_± over the last two convergen
 
 Each located point is checked on the spot to lie on the three lines of
 its own vanishing triple, so a formula slip cannot propagate silently.
-`concurrency_oracle` intersects the lines of every triple directly; it is
-the reference that `verify` and the tests hold the located points to.
+`oracles.concurrency_oracle` recomputes the determinants and intersects
+the lines of every triple; `verify` and the tests hold the report to it.
 
 A triple point θ = p/q is a Farey point of a concurrent chain L(i, j)
-exactly when q ≤ |i| (characterization (i) of `farey_point_tests`), so
-each point carries its `farey_count` over its three lines from that
-order test alone: at least 1 for type I, at least 2 for type II.
+exactly when q ≤ |i| (characterization (i) of `farey_point_tests`, in
+`oracles`), so each point carries its `farey_count` over its three lines
+from that order test alone: at least 1 for type I, at least 2 for type II.
 `verify` holds every count to all three characterizations.
 
 `_column` builds the six lines and the eight determinants, once per
-`triple_points` or `concurrency_oracle` call.  The report keeps the lines
-as `column`, which `render_triples` draws without building it again.
+`triple_points` call.  The report keeps the lines as `column`, which
+`render_triples` draws without building it again.
 """
 
 from __future__ import annotations
@@ -108,33 +108,6 @@ class ConcurrencyEntry:
     signs: tuple[int, int, int]
     determinant: int
     point: tuple[Rational, Rational] | None
-
-
-def concurrency_oracle(zeta: CriticalPoint) -> tuple[ConcurrencyEntry, ...]:
-    """Brute-force concurrency over all eight sign-triples.
-
-    Shares the lines and determinants of `triple_points` but none of its
-    closed forms: each triple's lines are intersected directly, and
-    D = 0 must coincide with concurrency.
-    """
-    _, column, dets = _column(zeta)
-    entries = []
-    for signs, det in zip(SIGN_TRIPLES, dets):
-        (i1, j1), (i2, j2), (i3, j3) = _lines(column, signs)
-        if i1 == i2:
-            raise ConsistencyError(
-                "dominant lines of ζ and ζ↓ can never be parallel"
-            )
-        x = Fraction(j1 - j2, i1 - i2)
-        y = i1 * x - j1
-        concurrent = i3 * x - j3 == y
-        if concurrent != (det == 0):
-            raise ConsistencyError(
-                f"determinant/intersection mismatch for signs {signs} at "
-                f"({zeta.theta}, {zeta.rho})"
-            )
-        entries.append(ConcurrencyEntry(signs, det, (x, y) if concurrent else None))
-    return tuple(entries)
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import render as render_mod
-from .chains import chain_new, curve_count, decompose, farey_point_tests, residue_cover
+from .chains import chain_new, curve_count, decompose
 from .errors import DomainError, ParameterError
 from .exact import (
     ContinuedFraction,
@@ -49,12 +49,12 @@ from .exact import (
     format_rational,
 )
 from .net import net
+from .oracles import concurrency_oracle, farey_point_tests, residue_cover, scan_witness
 from .orbit import (
     brute_force_critical_word,
     code_orbit,
     critical_point,
     is_critical,
-    scan_witness,
     switch_first,
 )
 from .points import (
@@ -69,7 +69,7 @@ from .points import (
     pencil_word,
     point_context,
 )
-from .triples import concurrency_oracle, psi, triple_points
+from .triples import psi, triple_points
 
 
 @dataclass(frozen=True)
@@ -587,7 +587,7 @@ def check_triple_points(max_q: int) -> str:
         if rho == 0 or rho == 1:
             continue
         report = triple_points(zeta)
-        assert report.oracle == concurrency_oracle(zeta)
+        assert report.oracle == concurrency_oracle(report)
         assert report.mu in (-1, 0, 1)
         if rho not in (Fraction(1, q), Fraction(q - 1, q)):
             assert report.mu == -report.determinant_table[0], f"μ ≠ −D(+,+,+) at {zeta}"

@@ -14,12 +14,11 @@ from critcurves import (
     critical_point,
     curve_count,
     decompose,
-    farey_point_tests,
     farey_sequence,
-    residue_cover,
     segments_csv,
 )
 from critcurves import chains
+from critcurves.oracles import farey_point_tests, residue_cover
 
 
 def small_chains():

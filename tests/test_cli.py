@@ -334,6 +334,9 @@ def test_verify_worker_count():
         ("pencils", "1/7", "1/7", "--depth", "3000"),
         ("pencils", "1/100000", "1/100000", "--depth", "20"),  # 21·q letters
         ("render", "pencils", "1/7", "1/7", "--depth", "20000", "--out", "{tmp}/pencils.svg"),
+        ("chain", "1000000000", "0"),
+        ("chain", "-1000000000", "-1"),
+        ("pencils", "1/4096", "1/4096", "--depth", "63"),  # 2·q·64² letters in all
     ],
 )
 def test_oversized_requests_fail_before_building(tmp_path, capsys, argv):
@@ -353,6 +356,7 @@ def test_output_caps_admit_the_documented_sizes():
     assert cli.MAX_WORD_LENGTH >= 2000
     assert cli.MAX_PENCIL_DEPTH >= 6
     assert (6 + 1) * 48 <= cli.MAX_WORD_LENGTH
+    assert cli.MAX_COUNT_ORDER >= cli.MAX_CHAIN_ORDER
 
 
 @pytest.mark.parametrize(

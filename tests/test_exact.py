@@ -11,7 +11,6 @@ from critcurves import (
     farey_neighbours,
     farey_sequence,
     format_rational,
-    fractional_part,
     parse_rational,
     rational,
 )
@@ -53,12 +52,6 @@ def test_format_rational_always_shows_denominator():
 @given(unit_fractions)
 def test_parse_format_round_trip(x):
     assert parse_rational(format_rational(x)) == x
-
-
-def test_fractional_part():
-    assert fractional_part(Fraction(-6, 5)) == Fraction(4, 5)
-    assert fractional_part(Fraction(10, 7)) == Fraction(3, 7)
-    assert fractional_part(Fraction(2)) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import dataclasses
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -18,11 +19,10 @@ from critcurves import (
     is_critical,
     orbit,
     parse_word,
-    scan_witness,
     signed_witness,
     switch_first,
-    word_sign,
 )
+from critcurves.oracles import scan_witness
 
 
 @st.composite
@@ -34,12 +34,6 @@ def critical_pairs(draw):
     den = theta.denominator
     num = draw(st.integers(min_value=0, max_value=den))
     return theta, Fraction(num, den)
-
-
-def test_word_sign():
-    assert word_sign("abb") == 1
-    assert word_sign("ba") == -1
-    assert word_sign("") == 0
 
 
 def test_switch_first():
@@ -117,6 +111,28 @@ def test_critical_point_factory_validates():
         critical_point(Fraction(3, 4), Fraction(1, 3))
     zeta = critical_point(Fraction(3, 4), Fraction(1, 4))
     assert (zeta.theta, zeta.rho) == (Fraction(3, 4), Fraction(1, 4))
+    # ints are exact rationals too
+    assert critical_point(0, 1) == critical_point(Fraction(0), Fraction(1))
+    assert critical_point(Fraction(1, 2), 1).rho == 1
+
+
+@pytest.mark.parametrize(
+    "theta,rho",
+    [
+        (0.5, 0),
+        (0.5, 0.25),
+        (Fraction(1, 2), 0.5),
+        ("1/2", Fraction(1, 2)),
+        (Fraction(1, 2), Decimal("0.5")),
+        (Fraction(1, 2), None),
+    ],
+)
+def test_critical_point_rejects_non_rational_input(theta, rho):
+    # checked before the range comparison, so no input type slips past
+    # as a bare AttributeError or TypeError, or as a point that breaks later
+    for build in (critical_point, CriticalPoint, is_critical):
+        with pytest.raises(ParameterError, match=r"^theta and rho must be int or Fraction, got "):
+            build(theta, rho)
 
 
 def test_brute_force_critical_word_interior():
@@ -153,7 +169,7 @@ def test_brute_force_word_is_minimal_and_coded(pair, sign):
     word, i, j = brute_force_critical_word(zeta, sign)
     assert i * theta - j == rho
     assert len(word) == abs(i)
-    assert word_sign(word) in (0, sign)
+    assert word[:1] in ("", "a" if sign > 0 else "b")
     if word:
         start = Fraction(0) if sign > 0 else rho
         assert word == code_orbit(theta, rho, start, abs(i))

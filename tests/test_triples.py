@@ -10,7 +10,6 @@ from critcurves import (
     ConsistencyError,
     DomainError,
     ParameterError,
-    concurrency_oracle,
     critical_point,
     dominant_params,
     mu_of,
@@ -20,7 +19,8 @@ from critcurves import (
     triple_point_farey_status,
     triple_points,
 )
-from critcurves import chains, cli, orbit, triples, verify
+from critcurves import cli, oracles, orbit, triples, verify
+from critcurves.oracles import concurrency_oracle
 from critcurves.verify import _alternate_triple_locations
 
 
@@ -90,7 +90,7 @@ def test_report_column_holds_the_dominant_lines(zeta):
 
 def test_triple_queries_call_no_farey_point_oracle(tmp_path, capsys, monkeypatch):
     calls = []
-    oracle = chains.farey_point_tests
+    oracle = oracles.farey_point_tests
 
     def counting(chain, zeta):
         calls.append((chain, zeta))
@@ -139,7 +139,7 @@ def test_render_triples_draws_the_report_column(monkeypatch):
 
 
 def test_concurrency_oracle_table():
-    entries = concurrency_oracle(critical_point(F(3, 7), F(2, 7)))
+    entries = concurrency_oracle(triple_points(critical_point(F(3, 7), F(2, 7))))
     assert tuple(e.signs for e in entries) == SIGN_TRIPLES
     assert tuple(e.determinant for e in entries) == (0, 1, -2, -1, 1, 2, -1, 0)
     for e in entries:
@@ -151,7 +151,7 @@ def test_concurrency_oracle_table():
 @settings(max_examples=60)
 @given(interior_points())
 def test_concurrency_oracle_two_triples(zeta):
-    entries = concurrency_oracle(zeta)
+    entries = concurrency_oracle(triple_points(zeta))
     zeros = [e for e in entries if e.determinant == 0]
     assert len(zeros) == 2
     for e in zeros:
@@ -286,7 +286,7 @@ def test_wrong_closed_form_is_caught(monkeypatch):
 @given(interior_points())
 def test_triple_points_structure(zeta):
     report = triple_points(zeta)
-    assert report.oracle == concurrency_oracle(zeta)
+    assert report.oracle == concurrency_oracle(triple_points(zeta))
     # the two located points are exactly the oracle's concurrent triples
     zeros = {e.signs: e.point for e in report.oracle if e.determinant == 0}
     assert len(zeros) == 2
