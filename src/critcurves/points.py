@@ -35,7 +35,7 @@ from .exact import (
 from .orbit import (
     CriticalPoint,
     Word,
-    brute_force_critical_word,
+    code_orbit,
     critical_point,
     is_critical,
     signed_witness,
@@ -221,13 +221,15 @@ def dominant_words(zeta: CriticalPoint) -> tuple[Word, Word]:
     """(u⁺, u⁻): critical words of the two dominant curves, the codings
     of the two signed witnesses.
 
-    On ρ = 0 these are (ε, b^q) and on ρ = 1 (a^q, ε) — covering the
-    corners via q = 1 — so the pencil word formulas below never need a
-    special case.
+    They split one period of the orbit of 0: after i⁺ steps the orbit
+    reaches ρ, where u⁻ starts, so u⁺u⁻ = code_orbit(θ, ρ, 0, q) cut
+    after i⁺ letters.  On ρ = 0 these are (ε, b^q) and on ρ = 1
+    (a^q, ε) — covering the corners via q = 1 — so the pencil word
+    formulas below never need a special case.
     """
-    plus, _, _ = brute_force_critical_word(zeta, 1)
-    minus, _, _ = brute_force_critical_word(zeta, -1)
-    return plus, minus
+    period = code_orbit(zeta.theta, zeta.rho, 0, zeta.theta.denominator)
+    i_plus = signed_witness(zeta, 1)[0]
+    return period[:i_plus], period[i_plus:]
 
 
 def pencil_word(zeta: CriticalPoint, sigma: str, ell: int) -> Word:

@@ -105,13 +105,8 @@ def _theta_values(max_q: int):
 
 
 def _valid_rhos(q: int):
-    """Every ρ = r/s with s | q, 0 ≤ ρ ≤ 1."""
-    out = set()
-    for s in range(1, q + 1):
-        if q % s == 0:
-            for r in range(0, s + 1):
-                out.add(Fraction(r, s))
-    return sorted(out)
+    """Every ρ = r/s with s | q, 0 ≤ ρ ≤ 1: each is some k/q."""
+    return [Fraction(k, q) for k in range(q + 1)]
 
 
 def _points(max_q: int):
@@ -511,6 +506,9 @@ def _pencil_word_sweep(max_q: int, max_ell: int) -> int:
     for zeta in _points(max_q):
         theta, rho, q = zeta.theta, zeta.rho, zeta.theta.denominator
         u_plus, u_minus = dominant_words(zeta)
+        assert (u_plus, u_minus) == tuple(
+            brute_force_critical_word(zeta, sign)[0] for sign in (1, -1)
+        ), f"{zeta} dominant words"
         assert len(u_plus) + len(u_minus) == q
         if 0 < rho < 1:
             assert u_plus + u_minus == code_orbit(theta, rho, Fraction(0), q)

@@ -337,6 +337,7 @@ def test_verify_worker_count():
         ("chain", "1000000000", "0"),
         ("chain", "-1000000000", "-1"),
         ("pencils", "1/4096", "1/4096", "--depth", "63"),  # 2·q·64² letters in all
+        ("verify", "--max-q", "1000000000"),
     ],
 )
 def test_oversized_requests_fail_before_building(tmp_path, capsys, argv):
@@ -357,6 +358,7 @@ def test_output_caps_admit_the_documented_sizes():
     assert cli.MAX_PENCIL_DEPTH >= 6
     assert (6 + 1) * 48 <= cli.MAX_WORD_LENGTH
     assert cli.MAX_COUNT_ORDER >= cli.MAX_CHAIN_ORDER
+    assert cli.MAX_VERIFY_Q >= 30  # the acceptance criteria sweep up to q = 30
 
 
 @pytest.mark.parametrize(

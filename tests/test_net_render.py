@@ -201,3 +201,62 @@ TRIPLES_DIGESTS_12 = (
 
 def test_triples_golden_digests(capsys):
     assert _triples_digests(capsys, 12) == TRIPLES_DIGESTS_12
+
+
+def _cli_digest(capsys, commands) -> str:
+    """SHA-256 over exit code, stdout and stderr of each command, as
+    text and with --json."""
+    stream = hashlib.sha256()
+    for argv in commands:
+        for extra in ([], ["--json"]):
+            code = cli.main([*argv, *extra])
+            out, err = capsys.readouterr()
+            stream.update(f"{argv + extra} {code}\n{out}{err}".encode())
+    return stream.hexdigest()
+
+
+def _cli_commands(max_q: int) -> dict[str, list[list[str]]]:
+    """`point` and `pencils --depth 3` at every critical point with
+    q ≤ max_q and one non-critical point; `chain` and `decompose` at
+    every admissible (i, j) with |i| ≤ max_q and one inadmissible j per
+    i; `net` 0..3, two `word` calls and `verify --max-q 4`."""
+    points = [
+        [f"{t.numerator}/{t.denominator}", f"{r.numerator}/{r.denominator}"]
+        for t, r in _points_up_to(max_q)
+    ] + [["1/2", "1/3"]]
+    chains = []
+    for i in range(-max_q, max_q + 1):
+        admissible = range(i) if i > 0 else range(i, 0) if i < 0 else (-1, 0)
+        chains += [[str(i), str(j)] for j in (*admissible, abs(i) + 1)]
+    return {
+        "point": [["point", *args] for args in points],
+        "pencils": [["pencils", *args, "--depth", "3"] for args in points],
+        "chain": [["chain", *args] for args in chains],
+        "decompose": [["decompose", *args] for args in chains],
+        "net": [["net", str(n)] for n in range(4)],
+        "word": [
+            ["word", "3/7", "2/7"],
+            ["word", "2/5", "1/5", "--start", "1/5", "--len", "12"],
+        ],
+        "verify": [["verify", "--max-q", "4"]],
+    }
+
+
+# SHA-256 of every CLI command's text and --json output at q, |i| ≤ 12,
+# recorded before each handler built its output document once.
+CLI_DIGESTS_12 = {
+    "point": "402368865b1fd08ef63ea4349ee416797631fc9b560feeb65bed0898623d114c",
+    "pencils": "06c110d7b9f25db37701b3b3849ca2f51740f4868986cd7129bfba6b0c2eaf93",
+    "chain": "ee644eb58fcb2a46be5b578210a724308ec5cae705451b45232f41b3cc4172b0",
+    "decompose": "deb177686461042b8b22c0e97947c08b39c50e5e953c12c1b1663820609cc6d4",
+    "net": "4a2a93ba96393329454aaac42875f4fbaadf75a4786b1c96c32a5fc11b56acb0",
+    "word": "0c1a617d88567af97bee78d5a7afb9a88c09bbcc40fb86cd627ecc5161bb4e43",
+    "verify": "0467a65d66deeb778e7912f3ebd581503f4501b8b870c658c47e11f9be04c6a4",
+}
+
+
+def test_cli_golden_digests(capsys):
+    digests = {
+        name: _cli_digest(capsys, argvs) for name, argvs in _cli_commands(12).items()
+    }
+    assert digests == CLI_DIGESTS_12
