@@ -56,8 +56,6 @@ from .points import (
     dominant_words,
     neighbours,
     pencil_descriptor,
-    pencil_endpoint,
-    pencil_params,
     pencil_word,
     point_context,
 )
@@ -131,8 +129,6 @@ __all__ = [
     "parse_rational",
     "parse_word",
     "pencil_descriptor",
-    "pencil_endpoint",
-    "pencil_params",
     "pencil_word",
     "point_context",
     "psi",

@@ -39,7 +39,11 @@ def parse_rational(text: str) -> Rational:
     if match is None:
         raise ParameterError(f"not an exact fraction: {text!r}")
     num, den = match.groups()
-    return rational(int(num), int(den or 1))
+    try:
+        num, den = int(num), int(den or 1)
+    except ValueError:  # an integer past Python's digit limit for str -> int
+        raise ParameterError(f"fraction too long: {len(text)} characters") from None
+    return rational(num, den)
 
 
 def format_rational(x: Rational) -> str:
@@ -173,9 +177,9 @@ def _right_pair(p: int, q: int, n: int) -> tuple[int, int]:
 def farey_neighbours(x: Rational, n: int) -> tuple[Rational | None, Rational | None]:
     """Adjacent fractions of x inside F_n, for x itself a member of F_n.
 
-    Closed form via the modular inverse of the numerator: the left
-    neighbour is (pb-1)/q / b for the largest admissible b, mirrored on
-    the right.  At the ends of [0, 1] the missing side is None.
+    The right neighbour is `_right_pair`; the left one is the mirror
+    image 1 − c/d of the right neighbour c/d of 1 − x.  At the ends of
+    [0, 1] the missing side is None.
     """
     if n < 1:
         raise ParameterError("Farey order must be >= 1")
@@ -184,12 +188,9 @@ def farey_neighbours(x: Rational, n: int) -> tuple[Rational | None, Rational | N
         raise ParameterError(f"{x} is not a member of F_{n}")
     if not 0 <= x <= 1:
         raise ParameterError(f"expected x in [0, 1], got {x}")
-    if x == 0:
-        return None, Fraction(1, n)
-    if x == 1:
-        return Fraction(n - 1, n), None
-    b = n - (n - pow(p, -1, q)) % q  # largest b <= n with b = p^{-1} (mod q)
-    return Fraction((p * b - 1) // q, b), Fraction(*_right_pair(p, q, n))
+    c, d = _right_pair(q - p, q, n)
+    e, f = _right_pair(p, q, n)
+    return (Fraction(d - c, d) if x > 0 else None), (Fraction(e, f) if x < 1 else None)
 
 
 def _farey_pairs(n: int, lo: Rational, hi: Rational) -> Iterator[tuple[int, int]]:

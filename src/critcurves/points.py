@@ -42,7 +42,14 @@ from .orbit import (
     switch_first,
 )
 
-QUADRANTS = ("I", "II", "III", "IV")
+# σ ↦ (sign of its chains, endpoints right of θ, endpoints beside ζ↑)
+_QUADRANTS = {
+    "I": (1, True, True),
+    "II": (-1, False, True),
+    "III": (1, False, False),
+    "IV": (-1, True, False),
+}
+QUADRANTS = tuple(_QUADRANTS)
 
 
 @dataclass(frozen=True)
@@ -142,63 +149,35 @@ def dominant_params(
     )
 
 
+def _exists(zeta: CriticalPoint, right: bool, upper: bool) -> bool:
+    theta, rho = zeta.theta, zeta.rho
+    return (rho < 1 if upper else rho > 0) and (theta < 1 if right else theta > 0)
+
+
 def available_quadrants(zeta: CriticalPoint) -> tuple[str, ...]:
     """Which pencils exist at ζ: σ needs ζ↑ (I, II) or ζ↓ (III, IV) and
     a Farey neighbour of θ on its right (I, IV) or left (II, III).  All
     four exist inside, two on the rows ρ = 0 (I, II) and ρ = 1
     (III, IV), exactly one at each corner."""
-    theta, rho = zeta.theta, zeta.rho
     return tuple(
-        sigma
-        for sigma in QUADRANTS
-        if (rho < 1 if sigma in ("I", "II") else rho > 0)
-        and (theta < 1 if sigma in ("I", "IV") else theta > 0)
+        sigma for sigma, (_, right, upper) in _QUADRANTS.items()
+        if _exists(zeta, right, upper)
     )
 
 
-def _check_pencil_args(zeta: CriticalPoint, sigma: str, ell: int) -> None:
-    if sigma not in QUADRANTS:
+def _check_pencil_args(zeta: CriticalPoint, sigma: str, ell: int) -> tuple[int, bool, bool]:
+    """σ's row of `_QUADRANTS`, once ℓ ≥ 0 and pencil σ exists at ζ."""
+    if sigma not in _QUADRANTS:
         raise ParameterError(f"unknown pencil quadrant {sigma!r}")
     if ell < 0:
         raise ParameterError("pencil index ell must be non-negative")
-    available = available_quadrants(zeta)
-    if sigma not in available:
+    row = _QUADRANTS[sigma]
+    if not _exists(zeta, *row[1:]):
         raise DomainError(
             f"pencil {sigma} does not exist at ({zeta.theta}, {zeta.rho}); "
-            f"available: {', '.join(available)}"
+            f"available: {', '.join(available_quadrants(zeta))}"
         )
-
-
-def pencil_params(zeta: CriticalPoint, sigma: str, ell: int) -> tuple[int, int]:
-    """Chain parameters of the ℓ-th curve of pencil σ: the signed
-    witness of σ's sign (+ for I, III; − for II, IV) plus sign·ℓ·(q, p).
-    ℓ = 0 is the dominant chain."""
-    _check_pencil_args(zeta, sigma, ell)
-    sign = 1 if sigma in ("I", "III") else -1
-    i, j = signed_witness(zeta, sign)
-    p, q = zeta.theta.numerator, zeta.theta.denominator
-    return i + sign * ell * q, j + sign * ell * p
-
-
-def pencil_endpoint(zeta: CriticalPoint, sigma: str, ell: int) -> CriticalPoint:
-    """The Farey point ζ^σ(ℓ) of the ℓ-th pencil curve distinct from ζ.
-
-    With (i, j) the curve's chain parameters, θ^σ(ℓ) is the right
-    (σ = I, IV) or left (σ = II, III) neighbour of θ in F_{|i|}, and
-    ρ^σ(ℓ) = i·θ^σ(ℓ) − j.  The same law covers the interior, the rows,
-    the corners and the special rows ρ = 1/q, (q−1)/q, where the
-    endpoints of III, IV or I, II land on the row ρ = 0 or ρ = 1.
-    """
-    if ell < 1:
-        raise ParameterError("pencil endpoints exist for ell >= 1")
-    return _endpoint(zeta, sigma, pencil_params(zeta, sigma, ell))
-
-
-def _endpoint(zeta: CriticalPoint, sigma: str, params: tuple[int, int]) -> CriticalPoint:
-    i, j = params
-    left, right = farey_neighbours(zeta.theta, abs(i))
-    end_theta = right if sigma in ("I", "IV") else left
-    return critical_point(end_theta, i * end_theta - j)
+    return row
 
 
 @dataclass(frozen=True)
@@ -210,11 +189,25 @@ class PencilDescriptor:
 
 
 def pencil_descriptor(zeta: CriticalPoint, sigma: str, ell: int) -> PencilDescriptor:
-    """Bundle of the ℓ-th pencil curve's data; ℓ = 0 (the dominant
-    curve) has no endpoint of its own."""
-    params = pencil_params(zeta, sigma, ell)
-    endpoint = _endpoint(zeta, sigma, params) if ell >= 1 else None
-    return PencilDescriptor(sigma, ell, params, endpoint)
+    """The ℓ-th curve of pencil σ: its chain parameters and, for ℓ ≥ 1,
+    its Farey point ζ^σ(ℓ) distinct from ζ.  ℓ = 0 is the dominant
+    curve, which has no endpoint of its own.
+
+    The chain (i, j) is the signed witness of σ's sign plus
+    sign·ℓ·(q, p).  θ^σ(ℓ) is the right (σ = I, IV) or left (σ = II, III)
+    neighbour of θ in F_{|i|}, and ρ^σ(ℓ) = i·θ^σ(ℓ) − j.  The same law
+    covers the interior, the rows, the corners and the special rows
+    ρ = 1/q, (q−1)/q, where the endpoints of III, IV or I, II land on the
+    row ρ = 0 or ρ = 1.
+    """
+    sign, right, _ = _check_pencil_args(zeta, sigma, ell)
+    i, j = signed_witness(zeta, sign)
+    i, j = i + sign * ell * zeta.theta.denominator, j + sign * ell * zeta.theta.numerator
+    endpoint = None
+    if ell >= 1:
+        end_theta = farey_neighbours(zeta.theta, abs(i))[right]
+        endpoint = critical_point(end_theta, i * end_theta - j)
+    return PencilDescriptor(sigma, ell, (i, j), endpoint)
 
 
 def dominant_words(zeta: CriticalPoint) -> tuple[Word, Word]:
@@ -237,19 +230,16 @@ def pencil_word(zeta: CriticalPoint, sigma: str, ell: int) -> Word:
 
     With u± the dominant words and v± = u± with the first letter
     switched:  I: u⁺(v⁻u⁺)^ℓ, II: u⁻(u⁺v⁻)^ℓ, III: u⁺(u⁻v⁺)^ℓ,
-    IV: u⁻(v⁺u⁻)^ℓ.  ℓ = 0 returns the dominant word itself.
+    IV: u⁻(v⁺u⁻)^ℓ.  The head is u^sign; the period pairs v⁻ (I, II) or
+    v⁺ (III, IV) with the other dominant word, v first on the right
+    side (I, IV).  ℓ = 0 returns the dominant word itself.
     """
-    _check_pencil_args(zeta, sigma, ell)
+    sign, right, upper = _check_pencil_args(zeta, sigma, ell)
     u_plus, u_minus = dominant_words(zeta)
-    if ell == 0:
-        return u_plus if sigma in ("I", "III") else u_minus
-    if sigma == "I":
-        return u_plus + (switch_first(u_minus) + u_plus) * ell
-    if sigma == "II":
-        return u_minus + (u_plus + switch_first(u_minus)) * ell
-    if sigma == "III":
-        return u_plus + (u_minus + switch_first(u_plus)) * ell
-    return u_minus + (switch_first(u_plus) + u_minus) * ell
+    head = u_plus if sign > 0 else u_minus
+    switched, other = (u_minus, u_plus) if upper else (u_plus, u_minus)
+    v = switch_first(switched)
+    return head + (v + other if right else other + v) * ell
 
 
 @dataclass(frozen=True)

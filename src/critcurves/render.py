@@ -106,9 +106,12 @@ class _Frame:
             raise ParameterError(f"scale too small to render: {scale}")
         self.x0, self.x1 = x_span
         self.y0, self.y1 = y_span
-        aspect = float((self.y1 - self.y0) / (self.x1 - self.x0))
+        try:
+            aspect = float((self.y1 - self.y0) / (self.x1 - self.x0))
+            self.inner_h = max(16, int(round(scale * aspect)))
+        except OverflowError:  # a pixel size past the float range
+            raise ParameterError("figure too large to render") from None
         self.inner_w = scale
-        self.inner_h = max(16, int(round(scale * aspect)))
         self.width = 2 * _MARGIN + self.inner_w
         self.height = 2 * _MARGIN + self.inner_h
 

@@ -64,8 +64,6 @@ from .points import (
     dominant_words,
     neighbours,
     pencil_descriptor,
-    pencil_endpoint,
-    pencil_params,
     pencil_word,
     point_context,
 )
@@ -423,7 +421,7 @@ def _pencil_sweep(max_q: int, max_ell: int) -> int:
         assert available == expected, f"{zeta}: pencils {available}"
         for sigma in set(QUADRANTS) - set(available):
             try:
-                pencil_params(zeta, sigma, 1)
+                pencil_descriptor(zeta, sigma, 1)
             except DomainError:
                 continue
             raise AssertionError(f"{zeta}: missing pencil {sigma} has parameters")
@@ -525,13 +523,14 @@ def _pencil_word_sweep(max_q: int, max_ell: int) -> int:
             head, period = formula[sigma]
             for ell in range(0, max_ell + 1):
                 word = pencil_word(zeta, sigma, ell)
-                i_l, j_l = pencil_params(zeta, sigma, ell)
+                desc = pencil_descriptor(zeta, sigma, ell)
+                i_l, j_l = desc.chain_params
                 assert len(word) == abs(i_l)
                 assert word == head + period * ell, f"{zeta} {sigma} ℓ={ell}"
                 if ell == 0:
                     sample, s_rho = theta, rho
                 else:
-                    sample = _mediant(theta, pencil_endpoint(zeta, sigma, ell).theta)
+                    sample = _mediant(theta, desc.endpoint.theta)
                     s_rho = i_l * sample - j_l
                 assert word == code_orbit(
                     sample, s_rho, _word_start(sign, s_rho), abs(i_l)

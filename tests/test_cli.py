@@ -1,6 +1,7 @@
 import json
 import os
 import time
+from pathlib import Path
 
 import pytest
 
@@ -228,12 +229,8 @@ def test_verify_reports_failures(capsys, monkeypatch):
 
 
 def _wrong_side_endpoint(monkeypatch):
-    endpoint = points._endpoint
-    other_side = {"I": "II", "II": "I", "III": "IV", "IV": "III"}
-    monkeypatch.setattr(
-        points, "_endpoint",
-        lambda zeta, sigma, params: endpoint(zeta, other_side[sigma], params),
-    )
+    for sigma, (sign, right, upper) in list(points._QUADRANTS.items()):
+        monkeypatch.setitem(points._QUADRANTS, sigma, (sign, not right, upper))
 
 
 def _one_curve_letter_switched(monkeypatch):
@@ -349,6 +346,29 @@ def test_oversized_requests_fail_before_building(tmp_path, capsys, argv):
     assert list(tmp_path.iterdir()) == []
 
 
+_HUGE = str(10**400)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("point", "1/" + "9" * 5000, "0"),  # past Python's str -> int digit limit
+        ("render", "net", "2", "--scale", _HUGE, "--out", "{tmp}/net.svg"),
+        ("render", "decomposition", "7", "5", "--scale", _HUGE, "--out", "{tmp}/dec.svg"),
+        ("render", "pencils", "3/5", "2/5", "--scale", _HUGE, "--out", "{tmp}/pencils.svg"),
+        ("render", "triples", "3/5", "2/5", "--scale", _HUGE, "--out", "{tmp}/triples.svg"),
+        # the figure's height grows with q
+        ("render", "triples", f"1/{10**310}", f"1/{10**310}", "--out", "{tmp}/triples.svg"),
+    ],
+)
+def test_oversized_numbers_fail_with_one_error_line(tmp_path, capsys, argv):
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_output_caps_admit_the_documented_sizes():
     # the tests, `verify` and the benchmark use nets up to n = 100,
     # chains up to |i| = 2000 and pencils up to ℓ = 6 at q < 49
@@ -427,3 +447,25 @@ def test_verify_contract_is_pinned():
         for name, func in checks:
             assert getattr(verify, "check_" + name.replace("-", "_")) is func
             assert list(inspect.signature(func).parameters) == ["max_q"]
+
+
+def _readme_transcripts() -> dict[str, str]:
+    """Each `$ critcurves …` line of README.md mapped to the lines shown
+    under it, up to a blank line, the next prompt or the end of the block."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    transcripts, command = {}, None
+    for line in readme.read_text(encoding="utf-8").splitlines():
+        if line.startswith("$ critcurves "):
+            command = line.removeprefix("$ critcurves ")
+            transcripts[command] = ""
+        elif command is not None and line and line != "```":
+            transcripts[command] += line + "\n"
+        else:
+            command = None
+    return transcripts
+
+
+@pytest.mark.parametrize("command", ["decompose 7 5", "point 3/5 2/5", "triples 3/5 2/5"])
+def test_readme_transcripts_replay(capsys, command):
+    expected = _readme_transcripts()[command]
+    assert run(capsys, *command.split()) == (0, expected, "")

@@ -36,7 +36,11 @@ def test_parse_rational(text, value):
 
 @pytest.mark.parametrize(
     "text",
-    ["0.5", "1e3", "3 / 4", "", "a/b", "1/0", "1_0/30", "３/４", "3/-4", "1/2/3"],
+    [
+        "0.5", "1e3", "3 / 4", "", "a/b", "1/0", "1_0/30", "３/４", "3/-4", "1/2/3",
+        # more digits than Python converts from a string to an int
+        pytest.param("1/" + "9" * 5000, id="5000-digit-denominator"),
+    ],
 )
 def test_parse_rational_rejects_inexact(text):
     with pytest.raises(ParameterError):

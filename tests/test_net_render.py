@@ -203,6 +203,19 @@ def test_triples_golden_digests(capsys):
     assert _triples_digests(capsys, 12) == TRIPLES_DIGESTS_12
 
 
+# SHA-256 of `render_pencils(ζ, depth=3)` at every critical point with
+# q ≤ 12, rows and corners included, recorded before the pencil
+# functions read one quadrant table.
+PENCILS_SVG_DIGEST_12 = "3753c2cbaca4d9ab36d6e8dc81bbfb0d384c3857cf90aa56166624e705236ae4"
+
+
+def test_render_pencils_golden_digest():
+    stream = hashlib.sha256()
+    for theta, rho in _points_up_to(12):
+        stream.update(render_pencils(critical_point(theta, rho), depth=3).encode())
+    assert stream.hexdigest() == PENCILS_SVG_DIGEST_12
+
+
 def _cli_digest(capsys, commands) -> str:
     """SHA-256 over exit code, stdout and stderr of each command, as
     text and with --json."""

@@ -16,8 +16,6 @@ from critcurves import (
     farey_neighbours,
     neighbours,
     pencil_descriptor,
-    pencil_endpoint,
-    pencil_params,
     pencil_word,
     point_context,
 )
@@ -168,13 +166,11 @@ def test_available_quadrants():
 def test_pencil_argument_validation():
     zeta = critical_point(F(3, 5), F(2, 5))
     with pytest.raises(ParameterError):
-        pencil_params(zeta, "V", 1)
+        pencil_descriptor(zeta, "V", 1)
     with pytest.raises(ParameterError):
-        pencil_params(zeta, "I", -1)
-    with pytest.raises(ParameterError):
-        pencil_endpoint(zeta, "I", 0)
+        pencil_descriptor(zeta, "I", -1)
     with pytest.raises(DomainError):
-        pencil_params(critical_point(F(2, 5), F(0)), "III", 1)
+        pencil_descriptor(critical_point(F(2, 5), F(0)), "III", 1)
     with pytest.raises(DomainError):
         pencil_word(critical_point(F(0), F(0)), "II", 1)
 
@@ -185,16 +181,16 @@ def test_pencil_params_level_zero_is_dominant():
         plus, minus = dominant_params(zeta)
         for sigma in available_quadrants(zeta):
             expected = plus if sigma in ("I", "III") else minus
-            assert pencil_params(zeta, sigma, 0) == expected
+            assert pencil_descriptor(zeta, sigma, 0).chain_params == expected
 
 
 def test_pencil_params_interior_example():
     zeta = critical_point(F(3, 5), F(2, 5))
-    assert pencil_params(zeta, "I", 1) == (9, 5)
-    assert pencil_params(zeta, "III", 1) == (9, 5)
-    assert pencil_params(zeta, "II", 1) == (-6, -4)
-    assert pencil_params(zeta, "IV", 1) == (-6, -4)
-    assert pencil_params(zeta, "I", 2) == (14, 8)
+    assert pencil_descriptor(zeta, "I", 1).chain_params == (9, 5)
+    assert pencil_descriptor(zeta, "III", 1).chain_params == (9, 5)
+    assert pencil_descriptor(zeta, "II", 1).chain_params == (-6, -4)
+    assert pencil_descriptor(zeta, "IV", 1).chain_params == (-6, -4)
+    assert pencil_descriptor(zeta, "I", 2).chain_params == (14, 8)
 
 
 def test_pencil_endpoints_interior():
@@ -206,7 +202,7 @@ def test_pencil_endpoints_interior():
         "IV": (F(2, 3), F(0)),
     }
     for sigma, (theta, rho) in expected.items():
-        end = pencil_endpoint(zeta, sigma, 1)
+        end = pencil_descriptor(zeta, sigma, 1).endpoint
         assert (end.theta, end.rho) == (theta, rho)
 
     zeta = critical_point(F(1, 2), F(1, 2))
@@ -217,7 +213,7 @@ def test_pencil_endpoints_interior():
         "IV": (F(2, 3), F(0)),
     }
     for sigma, (theta, rho) in expected.items():
-        end = pencil_endpoint(zeta, sigma, 1)
+        end = pencil_descriptor(zeta, sigma, 1).endpoint
         assert (end.theta, end.rho) == (theta, rho)
 
 
@@ -238,7 +234,7 @@ def test_pencil_endpoints_rows_and_corners():
         (F(1), F(1), "III", 4, (F(4, 5), F(0))),
     ]
     for theta, rho, sigma, ell, (end_theta, end_rho) in cases:
-        end = pencil_endpoint(critical_point(theta, rho), sigma, ell)
+        end = pencil_descriptor(critical_point(theta, rho), sigma, ell).endpoint
         assert (end.theta, end.rho) == (end_theta, end_rho), (theta, rho, sigma, ell)
 
 
@@ -246,8 +242,8 @@ def test_pencil_endpoints_rows_and_corners():
 @given(interior_points(max_q=10), st.sampled_from(["I", "II", "III", "IV"]),
        st.integers(min_value=1, max_value=4))
 def test_pencil_endpoint_laws(zeta, sigma, ell):
-    i, j = pencil_params(zeta, sigma, ell)
-    end = pencil_endpoint(zeta, sigma, ell)
+    desc = pencil_descriptor(zeta, sigma, ell)
+    (i, j), end = desc.chain_params, desc.endpoint
     # the endpoint lies on the pencil chain, strictly past its level-0 word
     assert i * end.theta - j == end.rho
     assert end.theta != zeta.theta
@@ -314,12 +310,13 @@ def test_pencil_words_rows_and_corners():
        st.integers(min_value=0, max_value=3))
 def test_pencil_word_matches_coding_oracle(zeta, sigma, ell):
     word = pencil_word(zeta, sigma, ell)
-    i, j = pencil_params(zeta, sigma, ell)
+    desc = pencil_descriptor(zeta, sigma, ell)
+    i, j = desc.chain_params
     assert len(word) == abs(i)
     if ell == 0:
         sample = zeta.theta
     else:
-        end = pencil_endpoint(zeta, sigma, ell)
+        end = desc.endpoint
         a, b = sorted([zeta.theta, end.theta])
         sample = F(a.numerator + b.numerator, a.denominator + b.denominator)
     rho = i * sample - j
@@ -392,29 +389,28 @@ def test_closed_form_runs_once_per_constructed_point(monkeypatch):
             orbit.signed_witness(zeta, sign)
         dominant_params(zeta)
         for sigma in available_quadrants(zeta):
-            for ell in range(4):
-                pencil_params(zeta, sigma, ell)
+            pencil_descriptor(zeta, sigma, 0)
         assert calls == [], (theta, rho)
         sides = [side for side in neighbours(zeta) if side is not None]
         assert len(calls) == sum(0 < side.rho < 1 for side in sides)
         calls.clear()
         for sigma in available_quadrants(zeta):
             for ell in range(1, 4):
-                end = pencil_endpoint(zeta, sigma, ell)
+                end = pencil_descriptor(zeta, sigma, ell).endpoint
                 assert len(calls) == (0 < end.rho < 1), (theta, rho, sigma, ell)
                 calls.clear()
 
 
 def test_pencil_descriptor_checks_its_arguments_once(monkeypatch):
     calls = []
-    real = points.available_quadrants
+    real = points._check_pencil_args
 
-    def counting(zeta):
-        calls.append(zeta)
-        return real(zeta)
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
 
-    monkeypatch.setattr(points, "available_quadrants", counting)
+    monkeypatch.setattr(points, "_check_pencil_args", counting)
     zeta = critical_point(F(3, 5), F(2, 5))
     desc = pencil_descriptor(zeta, "I", 2)
     assert len(calls) == 1
-    assert desc.endpoint == pencil_endpoint(zeta, "I", 2)
+    assert (desc.endpoint.theta, desc.endpoint.rho) == (F(8, 13), F(8, 13))
