@@ -13,8 +13,13 @@ Farey fractions as integer pairs (p, q) and holds the word in a
 `bytearray`, so each congruence class flips with one slice assignment,
 word[start::q] = a…a; a position that would flip twice raises
 `ConsistencyError`.  `decompose` builds `Fraction`s only for its public
-fields, and the CSV rows of `render.segment_rows` come straight from the
-pairs and the curve words.  `oracles` holds the brute-force checks.
+fields.  Its critical words obey a prefix law: at an interior Farey
+point a/b the critical word is the first (|i| − 1) mod b + 1 letters of
+the boundary word, so no orbit is coded per point.  Each point checks
+the witness congruence in integers, and only the chain's first interior
+point codes its critical word directly, as a check.  The CSV rows of
+`render.segment_rows` come straight from the pairs and the curve words.
+`oracles` holds the brute-force checks.
 """
 
 from __future__ import annotations
@@ -150,25 +155,51 @@ def decompose(chain: Chain) -> ChainDecomposition:
     the positive chain L_{−i, −j−1} over the same θ-range, which swaps
     the two partition letters; its words are the letter-swapped words of
     that partner.  The critical word at a Farey point codes the signed
-    witness of the chain's own sign there, except on the rows ρ ∈ {0, 1}
-    where the centre is empty and the critical word is ε.
+    witness i′ of the chain's own sign there, except on the rows
+    ρ ∈ {0, 1} where the centre is empty and the critical word is ε.
+
+    Prefix law: at an interior Farey point a/b the critical word is the
+    first |i′| = (|i| − 1) mod b + 1 letters of the boundary word, since
+    both code the same orbit from the same start (0 on a positive chain,
+    ρ on a negative one) and i′ ≡ i (mod b).  Each point checks the
+    congruence i′·a ≡ i·a − j·b (mod b); the chain's first interior point
+    also codes its critical word directly and compares.  Either check
+    failing raises `ConsistencyError`.
     """
     if chain.i == 0:
         return ChainDecomposition(
             chain, (), (CurveSegment(Fraction(0), Fraction(1), ""),)
         )
-    i, j = chain.i, chain.j
+    i, j, sign, n = chain.i, chain.j, chain.sign, chain.order
+    checked = False
     points: list[FareyPoint] = []
     segments: list[CurveSegment] = []
     for a, b, curve, boundary in _sweep(chain, boundaries=True):
         theta = Fraction(a, b)
         num = i * a - j * b          # ρ = num/b
-        if num == 0 or num == b:
-            critical = ""
-        else:
-            critical, _, _ = brute_force_critical_word(
-                CriticalPoint(theta, Fraction(num, b)), chain.sign
-            )
+        critical = ""
+        if 0 < num < b:
+            size = (n - 1) % b + 1   # |i′|
+            if (sign * size * a - num) % b:
+                raise ConsistencyError(
+                    f"witness size {size} fails the congruence at "
+                    f"({theta}, {num}/{b}) on {chain}"
+                )
+            critical = boundary[:size]
+            if not checked:
+                # One direct coding per chain.  It also keeps the span
+                # chains.decompose → orbit.brute_force_critical_word that
+                # perfbench/test_perfbench.py pins, until a revision of
+                # the benchmark releases that pin.
+                direct, _, _ = brute_force_critical_word(
+                    CriticalPoint(theta, Fraction(num, b)), sign
+                )
+                if direct != critical:
+                    raise ConsistencyError(
+                        f"critical word {critical!r} at ({theta}, {num}/{b}) on "
+                        f"{chain} is not the direct coding {direct!r}"
+                    )
+                checked = True
         if curve is not None:
             segments.append(CurveSegment(points[-1].theta, theta, curve))
         points.append(FareyPoint(theta, boundary, critical))

@@ -53,6 +53,7 @@ MAX_NET_ORDER = 128        # n for `net` and `render net`
 MAX_PENCIL_DEPTH = 64      # --depth for `pencils` and `render pencils`
 MAX_PENCIL_LETTERS = 1 << 23  # letters in the whole `pencils` table
 MAX_VERIFY_Q = 64          # --max-q for `verify`, whose sweeps grow about as q³
+MAX_SCALE = 1 << 16        # --scale, in pixels, for every `render` figure
 
 
 class _UsageError(Exception):
@@ -316,6 +317,7 @@ def _write_files(args, files: dict[str, str]) -> int:
 
 
 def _cmd_render_net(args) -> int:
+    _bounded(args.scale, MAX_SCALE, "figure scale")
     _bounded(args.n, MAX_NET_ORDER, "net order")
     result = net(args.n)
     files = {args.out: render_net(result, scale=args.scale)}
@@ -325,6 +327,7 @@ def _cmd_render_net(args) -> int:
 
 
 def _cmd_render_decomposition(args) -> int:
+    _bounded(args.scale, MAX_SCALE, "figure scale")
     _bounded(abs(args.i), MAX_CHAIN_ORDER, "chain order")
     chain = chain_new(args.i, args.j)
     files = {args.out: render_decomposition(decompose(chain), scale=args.scale)}
@@ -334,6 +337,7 @@ def _cmd_render_decomposition(args) -> int:
 
 
 def _cmd_render_pencils(args) -> int:
+    _bounded(args.scale, MAX_SCALE, "figure scale")
     zeta = _point_args(args)
     _bounded(args.depth, MAX_PENCIL_DEPTH, "pencil depth")
     svg = render_pencils(zeta, depth=args.depth, scale=args.scale)
@@ -341,6 +345,7 @@ def _cmd_render_pencils(args) -> int:
 
 
 def _cmd_render_triples(args) -> int:
+    _bounded(args.scale, MAX_SCALE, "figure scale")
     zeta = _point_args(args)
     svg = render_triples(zeta, scale=args.scale, normalized=args.normalized)
     return _write_files(args, {args.out: svg})

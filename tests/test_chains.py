@@ -7,8 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 from critcurves import (
     ConsistencyError,
+    CriticalPoint,
     DomainError,
     ParameterError,
+    brute_force_critical_word,
     chain_new,
     code_orbit,
     critical_point,
@@ -16,6 +18,7 @@ from critcurves import (
     decompose,
     farey_sequence,
     segments_csv,
+    switch_first,
 )
 from critcurves import chains
 from critcurves.oracles import farey_point_tests, residue_cover
@@ -300,3 +303,61 @@ def test_flipping_a_position_twice_is_a_consistency_error(monkeypatch):
             decompose(chain)
         with pytest.raises(ConsistencyError, match="flipped twice"):
             segments_csv([chain])
+
+
+# ---------------------------------------------------------------------------
+# critical words as prefixes of the boundary word
+
+
+def _prefix_law_chains():
+    for n in range(1, 41):
+        yield from ((n, j) for j in range(n))
+        yield from ((-n, j) for j in range(-n, 0))
+    yield from ((768, j) for j in (0, 1, 300, 767))
+    yield from ((-768, j) for j in (-768, -300, -1))
+    yield -4096, -1365
+
+
+def test_critical_words_are_prefixes_of_boundary_words():
+    interior = 0
+    for i, j in _prefix_law_chains():
+        chain = chain_new(i, j)
+        for fp in decompose(chain).farey_points:
+            rho = chain.rho_at(fp.theta)
+            if rho in (0, 1):
+                assert fp.critical_word == ""
+                continue
+            interior += 1
+            zeta = CriticalPoint(fp.theta, rho)
+            assert fp.critical_word == brute_force_critical_word(zeta, chain.sign)[0]
+            assert len(fp.critical_word) == (abs(i) - 1) % fp.theta.denominator + 1
+            assert fp.boundary_word.startswith(fp.critical_word)
+    assert interior > 10_000
+
+
+def test_decompose_codes_one_critical_word_per_chain(monkeypatch):
+    original_word, original_point = chains.brute_force_critical_word, chains.CriticalPoint
+    calls = {"word": 0, "point": 0}
+
+    def counted_word(zeta, sign):
+        calls["word"] += 1
+        return original_word(zeta, sign)
+
+    def counted_point(theta, rho):
+        calls["point"] += 1
+        return original_point(theta, rho)
+
+    monkeypatch.setattr(chains, "brute_force_critical_word", counted_word)
+    monkeypatch.setattr(chains, "CriticalPoint", counted_point)
+    dec = decompose(chain_new(-768, -300))
+    assert calls == {"word": 1, "point": 1}
+    assert len(dec.farey_points) > 100
+
+    def switched(zeta, sign):
+        word, i, j = original_word(zeta, sign)
+        return switch_first(word), i, j
+
+    monkeypatch.setattr(chains, "brute_force_critical_word", switched)
+    for chain in (chain_new(-768, -300), chain_new(7, 5)):
+        with pytest.raises(ConsistencyError, match="direct coding"):
+            decompose(chain)

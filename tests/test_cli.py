@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -81,6 +83,20 @@ def test_chain(capsys):
     assert json.loads(out) == {
         "i": 0, "j": 0, "theta_minus": "0/1", "theta_plus": "1/1",
         "order": 0, "farey_points": 0, "curves": 1,
+    }
+
+
+def test_python_dash_m_runs_from_a_source_tree():
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run(
+        [sys.executable, "-m", "critcurves", "chain", "7", "5", "--json"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    assert json.loads(done.stdout) == {
+        "i": 7, "j": 5, "theta_minus": "5/7", "theta_plus": "6/7",
+        "order": 7, "farey_points": 5, "curves": 4,
     }
 
 
@@ -347,6 +363,7 @@ def test_oversized_requests_fail_before_building(tmp_path, capsys, argv):
 
 
 _HUGE = str(10**400)
+_TOO_LARGE = str(cli.MAX_SCALE + 1)
 
 
 @pytest.mark.parametrize(
@@ -359,6 +376,11 @@ _HUGE = str(10**400)
         ("render", "triples", "3/5", "2/5", "--scale", _HUGE, "--out", "{tmp}/triples.svg"),
         # the figure's height grows with q
         ("render", "triples", f"1/{10**310}", f"1/{10**310}", "--out", "{tmp}/triples.svg"),
+        # one pixel past the scale cap, for each figure
+        ("render", "net", "30", "--scale", _TOO_LARGE, "--out", "{tmp}/net.svg"),
+        ("render", "decomposition", "7", "5", "--scale", _TOO_LARGE, "--out", "{tmp}/dec.svg"),
+        ("render", "pencils", "3/5", "2/5", "--scale", _TOO_LARGE, "--out", "{tmp}/pencils.svg"),
+        ("render", "triples", "3/5", "2/5", "--scale", _TOO_LARGE, "--out", "{tmp}/triples.svg"),
     ],
 )
 def test_oversized_numbers_fail_with_one_error_line(tmp_path, capsys, argv):
@@ -379,6 +401,15 @@ def test_output_caps_admit_the_documented_sizes():
     assert (6 + 1) * 48 <= cli.MAX_WORD_LENGTH
     assert cli.MAX_COUNT_ORDER >= cli.MAX_CHAIN_ORDER
     assert cli.MAX_VERIFY_Q >= 30  # the acceptance criteria sweep up to q = 30
+    parser = cli._build_parser()
+    for argv in (
+        ("render", "net", "2"),
+        ("render", "decomposition", "7", "5"),
+        ("render", "pencils", "3/5", "2/5"),
+        ("render", "triples", "3/5", "2/5"),
+    ):
+        args = parser.parse_args([*argv, "--out", "figure.svg"])
+        assert 1 <= args.scale <= cli.MAX_SCALE
 
 
 @pytest.mark.parametrize(
